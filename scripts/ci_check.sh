@@ -44,7 +44,7 @@ python -m pytest -q tests/ad/test_probes.py \
 echo "== replay plans: plan-vs-tracer bitwise equivalence =="
 python -m pytest -q tests/ad/test_plan.py
 
-echo "== plan lowering: IR passes, fused-vs-unfused bitwise equivalence =="
+echo "== plan lowering: IR passes, fused-vs-tracer bitwise equivalence =="
 python -m pytest -q tests/ad/test_passes.py tests/ad/test_primitive_coverage.py
 
 echo "== tangent sweep: mask equivalence across all ports =="
@@ -96,13 +96,20 @@ echo "== CLI smoke: plan-replayed segmented activity analysis =="
 python -m repro.cli --class T --method activity --sweep segmented \
     --trace-cache plan analyze CG >/dev/null
 
-echo "== CLI smoke: plan passes disabled (unfused interpreter) =="
-python -m repro.cli --class T --sweep segmented --plan-optimize off \
-    analyze CG >/dev/null
-
-echo "== CLI smoke: explicit interp executor =="
-python -m repro.cli --class T --sweep segmented --executor interp \
-    analyze CG >/dev/null
+echo "== CLI smoke: inapplicable execution knob is a usage error =="
+# --snapshot-budget without --sweep segmented/binomial must exit 2 with
+# ExecutionConfig's message, before any analysis runs
+set +e
+budget_err="$(python -m repro.cli --class T --snapshot-budget 3 \
+    analyze CG 2>&1 >/dev/null)"
+budget_code=$?
+set -e
+if [ "$budget_code" -ne 2 ] || ! printf '%s\n' "$budget_err" | grep -qF \
+        "error: snapshot_schedule/snapshot_budget/spill_dir require sweep='segmented'"; then
+    echo "expected exit 2 with the ExecutionConfig message, got" \
+        "$budget_code: $budget_err" >&2
+    exit 1
+fi
 
 echo "== CLI smoke: chaos harness (worker kills + cache corruption) =="
 # a chaos-injected batch must complete, quarantine nothing (the CLI exits

@@ -1,6 +1,6 @@
 """Typed instruction IR for compiled replay plans.
 
-The middle layer of the capture -> IR -> passes -> executor pipeline
+The middle layer of the capture -> IR -> passes -> interpreter pipeline
 (:mod:`repro.ad.plan` captures, :mod:`repro.ad.passes` optimises,
 :mod:`repro.ad.exec` runs).  A :class:`PlanIR` is a *typed, validated,
 serialisable* description of one captured program: a flat list of
@@ -13,7 +13,7 @@ tuples -- is what allows the downstream layers to stay honest:
 * the optimisation passes can reason about producers/consumers without
   executing anything;
 * the activity transfer (:mod:`repro.ad.activity`) derives read/move masks
-  from the same instruction list the executor runs, so the two can never
+  from the same instruction list the interpreter runs, so the two can never
   drift apart;
 * a plan can be round-tripped through :func:`to_payload` /
   :func:`from_payload` (dict-of-JSON-plus-tagged-arrays), which pins the
@@ -51,7 +51,7 @@ class Instr:
         Output slot (== the captured tape node index).
     kind:
         Spec kind (``"ewbinary"``, ``"leaf"``, ``"reshape"``, ...); the key
-        into the executor's emitter table.
+        into the interpreter's emitter table.
     parents:
         Input slots, in the operand order the emitter expects.
     spec:
@@ -153,9 +153,9 @@ def lower_program(program, concrete: list[tuple] | None) -> PlanIR:
 def validate_ir(ir: PlanIR) -> None:
     """Raise :class:`IRValidationError` on structural inconsistencies.
 
-    Checks exactly the invariants the passes and executors rely on: dense
-    slot numbering, topological parent order (single assignment comes for
-    free from density), leaf integrity, and in-range program wiring.
+    Checks exactly the invariants the passes and the interpreter rely on:
+    dense slot numbering, topological parent order (single assignment comes
+    for free from density), leaf integrity, and in-range program wiring.
     """
     n = ir.n_slots
     if ir.kind not in ("step", "output"):

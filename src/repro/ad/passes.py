@@ -1,16 +1,16 @@
 """Deterministic optimisation passes over the plan IR.
 
-The middle stage of the capture -> IR -> passes -> executor pipeline.
+The middle stage of the capture -> IR -> passes -> interpreter pipeline.
 Given a validated :class:`~repro.ad.ir.PlanIR`, :func:`optimize_ir` derives
 a :class:`PlanLayout` -- which instructions actually execute, which runs of
 elementwise/unary instructions fuse into single kernels, and how slot
 lifetimes pack into a smaller arena.  The passes are pure analyses: they
 never reorder or rewrite instructions (slot numbering is sacred, see
-:mod:`repro.ad.ir`), so the executor's program remains bit-for-bit the
+:mod:`repro.ad.ir`), so the interpreter's program remains bit-for-bit the
 captured program and every derived analysis (activity transfer, concrete
 replay) keeps working off the full instruction list.
 
-Passes (``plan_optimize="fuse"``, the default):
+Every compiled plan runs all three passes:
 
 **Dead-slot elimination.**  An instruction is live when it is an ancestor
 of a gradient root (the traced output, a chained seed slot) or of a value
@@ -36,11 +36,8 @@ are coalesced with a linear-scan over non-overlapping intervals of equal
 geometry.  The packed footprint is reported as
 ``nbytes_estimate_packed`` (same 8-bytes-per-element meter as the
 existing ``nbytes_estimate``, so the two are directly comparable) and the
-executor maps provably-disjoint fused outputs onto shared preallocated
+interpreter maps provably-disjoint fused outputs onto shared preallocated
 buffers.
-
-``plan_optimize="off"`` disables all three (the pre-refactor behaviour):
-every instruction runs unfused, nothing is packed.
 """
 
 from __future__ import annotations
@@ -51,14 +48,7 @@ import numpy as np
 
 from .ir import PlanIR
 
-__all__ = ["PLAN_OPTIMIZES", "DEFAULT_PLAN_OPTIMIZE", "PlanLayout",
-           "optimize_ir"]
-
-#: recognised plan-optimisation policies
-PLAN_OPTIMIZES = ("fuse", "off")
-
-#: the policy used when none is requested
-DEFAULT_PLAN_OPTIMIZE = "fuse"
+__all__ = ["PlanLayout", "optimize_ir"]
 
 #: instruction kinds the chain-fusion pass may place in a group
 FUSABLE_KINDS = frozenset({"ewbinary", "minmax", "unary", "negative"})
@@ -122,23 +112,18 @@ class PlanLayout:
     buffer_of:
         Fused-output slot -> shared-pool id, for outputs whose lifetimes
         the packing pass proved disjoint (same shape and dtype); the
-        executor allocates one buffer per pool.
+        interpreter allocates one buffer per pool.
     no_out_buffer:
         Group slots that must never write through a preallocated buffer
         (their value escapes the plan via concrete replay).
-    optimized:
-        True when the pass pipeline ran (``plan_optimize="fuse"``); the
-        executor may then swap singleton kernels for statically
-        shape-specialised ones (see ``repro.ad.exec._SPECIALIZED``).
     """
 
     __slots__ = ("live", "groups", "fused_ops", "eliminated_slots",
-                 "nbytes_packed", "buffer_of", "no_out_buffer", "optimized")
+                 "nbytes_packed", "buffer_of", "no_out_buffer")
 
     def __init__(self, live: list[bool], groups: list[list[int]],
                  fused_ops: int, eliminated_slots: int, nbytes_packed: int,
-                 buffer_of: dict[int, Any], no_out_buffer: set[int],
-                 optimized: bool = False) -> None:
+                 buffer_of: dict[int, Any], no_out_buffer: set[int]) -> None:
         self.live = live
         self.groups = groups
         self.fused_ops = fused_ops
@@ -146,7 +131,6 @@ class PlanLayout:
         self.nbytes_packed = nbytes_packed
         self.buffer_of = buffer_of
         self.no_out_buffer = no_out_buffer
-        self.optimized = optimized
 
 
 def _size8(instr) -> int:
@@ -331,20 +315,9 @@ def _shared_buffers(ir: PlanIR, groups: list[list[int]],
     return buffer_of
 
 
-def optimize_ir(ir: PlanIR, optimize: str = DEFAULT_PLAN_OPTIMIZE
-                ) -> PlanLayout:
+def optimize_ir(ir: PlanIR) -> PlanLayout:
     """Run the deterministic pass pipeline over ``ir``."""
-    if optimize not in PLAN_OPTIMIZES:
-        raise ValueError(f"unknown plan_optimize {optimize!r}; "
-                         f"choose from {PLAN_OPTIMIZES}")
-    n = ir.n_slots
     unpacked = sum(_size8(instr) for instr in ir.instrs)
-    if optimize == "off":
-        return PlanLayout(live=[True] * n, groups=[], fused_ops=0,
-                          eliminated_slots=0, nbytes_packed=unpacked,
-                          buffer_of={}, no_out_buffer=set(range(n)),
-                          optimized=False)
-
     protected, concrete_targets = _protected_slots(ir)
     live = _liveness(ir, protected)
     eliminated = sum(1 for instr in ir.instrs
@@ -358,5 +331,4 @@ def optimize_ir(ir: PlanIR, optimize: str = DEFAULT_PLAN_OPTIMIZE
                       eliminated_slots=eliminated,
                       nbytes_packed=min(nbytes_packed, unpacked),
                       buffer_of=buffer_of,
-                      no_out_buffer=set(concrete_targets),
-                      optimized=True)
+                      no_out_buffer=set(concrete_targets))

@@ -90,19 +90,14 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exec import (DEFAULT_EXECUTOR, EXECUTORS, _EMITTERS,  # noqa: F401
-                   build_ops, resolve_executor)
+from .exec import build_ops
 from .ir import lower_program
-from .passes import DEFAULT_PLAN_OPTIMIZE, PLAN_OPTIMIZES, optimize_ir
+from .passes import optimize_ir
 from .tensor import ADArray, value_of
 
 __all__ = [
     "TRACE_CACHES",
     "DEFAULT_TRACE_CACHE",
-    "PLAN_OPTIMIZES",
-    "DEFAULT_PLAN_OPTIMIZE",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "PlanCache",
     "CompiledPlan",
     "coarse_signature",
@@ -439,9 +434,7 @@ class CompiledPlan:
     """
 
     def __init__(self, program: CaptureProgram,
-                 concrete: list[tuple] | None,
-                 optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
+                 concrete: list[tuple] | None) -> None:
         self.kind = program.kind
         self.watch = program.watch
         #: the typed, validated lowering of the captured program; derived
@@ -462,8 +455,8 @@ class CompiledPlan:
         self.nbytes_estimate = sum(
             int(np.prod(shape, dtype=np.int64)) * 8 for shape in self._shapes)
 
-        layout = optimize_ir(self.ir, optimize)
-        self._ops, self.executor_kind = build_ops(self.ir, layout, executor)
+        layout = optimize_ir(self.ir)
+        self._ops = build_ops(self.ir, layout)
         #: pass telemetry (folded into PlanCache / SweepStats maxima)
         self.fused_ops = layout.fused_ops
         self.eliminated_slots = layout.eliminated_slots
@@ -486,14 +479,14 @@ class CompiledPlan:
         self._leaf_bufs = {slot: np.empty(self._shapes[slot],
                                           dtype=np.float64)
                            for slot in self._leaf_slots}
-        #: optimised plans also seed chained cotangents through retained
-        #: buffers.  A seed buffer may flow down the sweep unowned (every
-        #: accumulation onto it allocates; ``_collect`` copies), so reuse
-        #: across replays is safe -- except when the seed slot *is* a leaf
-        #: slot (identity chain entry): its owned seed would be handed to
-        #: the caller, so those keep the per-replay copy.
+        #: chained cotangents are seeded through retained buffers.  A seed
+        #: buffer may flow down the sweep unowned (every accumulation onto
+        #: it allocates; ``_collect`` copies), so reuse across replays is
+        #: safe -- except when the seed slot *is* a leaf slot (identity
+        #: chain entry): its owned seed would be handed to the caller, so
+        #: those keep the per-replay copy.
         leaf_set = set(self._leaf_slots)
-        self._seed_bufs = {} if not layout.optimized else {
+        self._seed_bufs = {
             slot: np.empty(self._shapes[slot], dtype=np.float64)
             for slot in set(self._seed_slots.values())
             if slot is not None and slot not in leaf_set}
@@ -675,17 +668,7 @@ class PlanCache:
     and probe-batched plans never collide.
     """
 
-    def __init__(self, plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
-        if plan_optimize not in PLAN_OPTIMIZES:
-            raise ValueError(f"unknown plan_optimize {plan_optimize!r}; "
-                             f"choose from {PLAN_OPTIMIZES}")
-        self._plan_optimize = plan_optimize
-        self._executor = executor
-        #: the executor that will actually serve this cache's plans
-        #: (``"interp"`` when a numba request silently degraded); raises
-        #: for unknown executor names
-        self.executor_kind = resolve_executor(executor)
+    def __init__(self) -> None:
         self._entries: dict[tuple, _Entry] = {}
         #: replayed traced segments
         self.hits = 0
@@ -732,9 +715,7 @@ class PlanCache:
     def _compiled(self, entry: _Entry, program: CaptureProgram,
                   other: CaptureProgram) -> CompiledPlan | None:
         try:
-            plan = CompiledPlan(program, _concrete_rules(program, other),
-                                optimize=self._plan_optimize,
-                                executor=self._executor)
+            plan = CompiledPlan(program, _concrete_rules(program, other))
         except Exception as exc:  # noqa: BLE001 - compile must never fail a run
             entry.rejected = True
             entry.reason = f"compile failed: {type(exc).__name__}: {exc}"
@@ -839,6 +820,12 @@ class Planner:
             RuntimeWarning, stacklevel=3)
 
     # -- tracing (the capture/fallback path) ------------------------------
+    # Every traced value refers to its tape and the tape's nodes hold the
+    # VJP closures over those values, so a tape is a reference cycle.  The
+    # sweep entry points below clear a tape's nodes once they are done with
+    # it: the segment's arrays are then freed at once, not whenever the
+    # cyclic collector next runs (which made peak memory depend on
+    # allocation counts elsewhere in the process).
     def _trace(self, state: Mapping[str, Any], capture: bool):
         sink = None
         if capture:
@@ -898,6 +885,7 @@ class Planner:
             program = _build_program("step", sink, tape, leaves, self.watch,
                                      state, next_state, None, self.n_probes)
             self.cache.learn(key, fine, program)
+        tape.nodes.clear()
         return dict(zip(self.watch, grads))
 
     def output_cotangents(self, state: Mapping[str, Any],
@@ -933,6 +921,7 @@ class Planner:
                                      self.watch, state, None, out,
                                      self.n_probes)
             self.cache.learn(key, fine, program)
+        tape.nodes.clear()
         return cotangents
 
     def step_activity(self, state: Mapping[str, Any],
@@ -975,6 +964,7 @@ class Planner:
             program = _build_program("step", sink, tape, leaves, self.watch,
                                      state, next_state, None, self.n_probes)
             self.cache.learn(key, fine, program)
+        tape.nodes.clear()
         return result
 
     def output_activity(self, state: Mapping[str, Any],
@@ -1007,6 +997,7 @@ class Planner:
                                      self.watch, state, None, out,
                                      self.n_probes)
             self.cache.learn(key, fine, program)
+        tape.nodes.clear()
         return result
 
     def advance(self, state: Mapping[str, Any]) -> dict[str, Any]:

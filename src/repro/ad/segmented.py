@@ -61,8 +61,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .plan import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                   DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache)
+from .plan import DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache
 from .reverse import backward, backward_from_seeds
 from .schedule import (DEFAULT_SNAPSHOT_SCHEDULE, SnapshotSchedule,
                        make_schedule, snapshot_state)
@@ -131,8 +130,6 @@ class SweepStats:
     plan_fused_ops: int = 0
     #: most dead instructions eliminated from any compiled plan
     plan_eliminated_slots: int = 0
-    #: executor actually serving the observed plan cache ("" = none)
-    executor_kind: str = ""
     #: segments processed by a segmented activity (read-set) sweep
     activity_segments: int = 0
     #: activity segments served by a plan-derived transfer (no tracer run)
@@ -198,7 +195,6 @@ class SweepStats:
         self.plan_fused_ops = max(self.plan_fused_ops, cache.fused_ops)
         self.plan_eliminated_slots = max(self.plan_eliminated_slots,
                                          cache.eliminated_slots)
-        self.executor_kind = cache.executor_kind
 
     def observe_schedule(self, *schedules: SnapshotSchedule) -> None:
         """Fold one sweep's snapshot-schedule telemetry in.
@@ -305,9 +301,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
                         snapshot_budget: int | None = None,
                         spill_dir: str | Path | None = None,
                         trace_cache: str = DEFAULT_TRACE_CACHE,
-                        plan_cache: PlanCache | None = None,
-                        plan_optimize: str | None = None,
-                        executor: str | None = None
+                        plan_cache: PlanCache | None = None
                         ) -> dict[str, np.ndarray]:
     """Gradients of the restart output w.r.t. ``watch``, one tape at a time.
 
@@ -361,18 +355,6 @@ def segmented_gradients(bench, state: Mapping[str, Any],
         (the criticality analyzer shares one per analysis, so per-probe
         sweeps and repeated analyses replay each other's plans); ``None``
         uses a private cache for this sweep.
-    plan_optimize:
-        IR optimisation policy of a freshly created plan cache
-        (:data:`repro.ad.passes.PLAN_OPTIMIZES`): ``"fuse"`` (default)
-        fuses elementwise/unary chains, eliminates dead slots and packs
-        the arena; ``"off"`` interprets every captured primitive
-        unoptimised.  Ignored when ``plan_cache`` is supplied (the cache
-        already fixed its policy).
-    executor:
-        Plan executor of a freshly created plan cache
-        (:data:`repro.ad.exec.EXECUTORS`): ``"interp"`` (default) or
-        ``"numba"`` (silently falls back to the interpreter when numba is
-        not installed).  Ignored when ``plan_cache`` is supplied.
 
     Returns
     -------
@@ -410,12 +392,7 @@ def segmented_gradients(bench, state: Mapping[str, Any],
 
     planner = out_planner = cache = plan_base = None
     if trace_cache == "plan":
-        cache = plan_cache if plan_cache is not None \
-            else PlanCache(
-                plan_optimize=plan_optimize if plan_optimize is not None
-                else DEFAULT_PLAN_OPTIMIZE,
-                executor=executor if executor is not None
-                else DEFAULT_EXECUTOR)
+        cache = plan_cache if plan_cache is not None else PlanCache()
         plan_base = cache.counters()
         planner = cache.planner(bench, "step", chain)
         out_planner = cache.planner(bench, "output", chain)

@@ -131,26 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "every segment -- the escape hatch for custom "
                              "kernels whose traced structure depends on "
                              "state values")
-    parser.add_argument("--plan-optimize", default="fuse",
-                        choices=("fuse", "off"),
-                        help="optimisation level of the compiled replay "
-                             "plans: 'fuse' (default) fuses elementwise/"
-                             "unary chains, eliminates dead slots and "
-                             "packs the value arena by liveness; 'off' "
-                             "replays the raw instruction list one op at "
-                             "a time (bitwise-identical masks either way; "
-                             "requires --sweep segmented with "
-                             "--trace-cache plan)")
-    parser.add_argument("--executor", default="interp",
-                        choices=("interp", "numba"),
-                        help="backend that runs the lowered plans: "
-                             "'interp' (default) interprets the "
-                             "instruction stream with preallocated "
-                             "buffers; 'numba' JIT-compiles eligible "
-                             "fused chains when numba is importable and "
-                             "silently falls back to the interpreter "
-                             "otherwise (requires --sweep segmented with "
-                             "--trace-cache plan)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the per-benchmark "
                              "analyses (1 = in-process, the default)")
@@ -264,15 +244,13 @@ def _make_runner(args: argparse.Namespace,
                             step=step, workers=args.workers,
                             cache_dir=args.cache_dir,
                             use_cache=not args.no_cache,
-                            sweep=args.sweep,
                             probe_scale=args.probe_scale,
+                            sweep=args.sweep,
                             probe_batching=args.probe_batching,
                             snapshot_schedule=args.snapshot_schedule,
                             snapshot_budget=args.snapshot_budget,
                             spill_dir=args.spill_dir,
                             trace_cache=args.trace_cache,
-                            plan_optimize=args.plan_optimize,
-                            executor=args.executor,
                             fault_policy=policy,
                             on_failure=args.on_failure,
                             journal=not args.no_journal,
@@ -287,8 +265,8 @@ def _print_fault_summary(runner: ExperimentRunner) -> None:
         print(stats.summary())
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    runner = _make_runner(args, step=args.step)
+def _run_analyze(args: argparse.Namespace,
+                 runner: ExperimentRunner) -> int:
     result = runner.result(args.benchmark)
     print(result.describe())
     if args.show_masks and result.ok:
@@ -307,36 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # the snapshot schedule only exists under the segmented sweep, the
-    # budget only under the binomial schedule and the spill dir only under
-    # the spill schedule; accepting an inapplicable flag silently would do
-    # nothing while still forking the result-cache key
-    if args.sweep != "segmented" and (args.snapshot_schedule != "all"
-                                      or args.snapshot_budget is not None
-                                      or args.spill_dir is not None):
-        parser.error("--snapshot-schedule/--snapshot-budget/--spill-dir "
-                     "require --sweep segmented")
-    if args.snapshot_budget is not None \
-            and args.snapshot_schedule != "binomial":
-        parser.error("--snapshot-budget requires "
-                     "--snapshot-schedule binomial")
-    if args.snapshot_budget is not None and args.snapshot_budget < 2:
-        parser.error("--snapshot-budget must be at least 2")
-    if args.spill_dir is not None and args.snapshot_schedule != "spill":
-        parser.error("--spill-dir requires --snapshot-schedule spill")
-    if args.trace_cache != "plan" and args.sweep != "segmented":
-        parser.error("--trace-cache off only affects --sweep segmented")
-    if args.plan_optimize != "fuse" and (args.sweep != "segmented"
-                                         or args.trace_cache != "plan"):
-        parser.error("--plan-optimize off requires --sweep segmented "
-                     "with --trace-cache plan")
-    if args.executor != "interp" and (args.sweep != "segmented"
-                                      or args.trace_cache != "plan"):
-        parser.error("--executor numba requires --sweep segmented "
-                     "with --trace-cache plan")
-    if args.method == "activity" and args.probes != 1:
-        parser.error("--method activity is value-independent; "
-                     "--probes must be 1")
     if args.max_retries < 0:
         parser.error("--max-retries must be non-negative")
     if args.retry_backoff < 0:
@@ -357,10 +305,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--no-journal only applies with --cache-dir (the "
                      "journal lives next to the result store)")
 
+    # the runner validates the analysis and execution parameters (the
+    # cross-knob rules live in ExecutionConfig), before any job runs
+    try:
+        runner = _make_runner(args, step=getattr(args, "step", None))
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "analyze":
-        return _run_analyze(args)
+        return _run_analyze(args, runner)
 
-    runner = _make_runner(args)
     reports = []
     if args.command == "table1":
         reports.append(table1.run(runner))

@@ -25,8 +25,9 @@ Typical use::
 """
 
 from .analysis import ScrutinyResult, scrutinize
-from .criticality import (CriticalityAnalyzer, VariableCriticality,
-                          criticality_from_gradient, element_criticality)
+from .criticality import (CriticalityAnalyzer, ExecutionConfig,
+                          VariableCriticality, criticality_from_gradient,
+                          element_criticality)
 from .impact import (PrecisionPlan, VariableImpact, plan_precision,
                      plan_precision_for_budget, variable_impact)
 from .masks import MaskSummary, summarize_mask
@@ -53,6 +54,7 @@ __all__ = [
     "summarize_mask",
     "VariableCriticality",
     "CriticalityAnalyzer",
+    "ExecutionConfig",
     "criticality_from_gradient",
     "element_criticality",
     "ScrutinyResult",

@@ -18,11 +18,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE,
-                                    CriticalityAnalyzer, VariableCriticality)
+from repro.core.criticality import (DEFAULT_PROBE_SCALE, CriticalityAnalyzer,
+                                    VariableCriticality)
 from repro.core.masks import MaskSummary
 from repro.core.regions import Region
 from repro.core.report import pruned_variable_nbytes
@@ -190,15 +187,8 @@ def scrutinize(bench, step: int | None = None,
                method: str = "ad", n_probes: int = 1,
                steps: int | None = None,
                rng: np.random.Generator | None = None,
-               sweep: str = "monolithic",
                probe_scale: float = DEFAULT_PROBE_SCALE,
-               probe_batching: str = "batched",
-               snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-               snapshot_budget: int | None = None,
-               spill_dir: str | None = None,
-               trace_cache: str = DEFAULT_TRACE_CACHE,
-               plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-               executor: str = DEFAULT_EXECUTOR) -> ScrutinyResult:
+               **execution: Any) -> ScrutinyResult:
     """Run the full element-level analysis of one benchmark.
 
     Parameters
@@ -213,33 +203,11 @@ def scrutinize(bench, step: int | None = None,
         benchmarks -- see the property tests).
     state:
         Explicit checkpoint state; overrides ``step`` when given.
-    method, n_probes, steps, rng, sweep, probe_scale, probe_batching, \
-    snapshot_schedule, snapshot_budget, spill_dir, trace_cache, \
-    plan_optimize, executor:
-        Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`;
-        ``sweep="segmented"`` bounds the AD tape memory to one main-loop
-        iteration (bitwise-identical masks), ``probe_batching="batched"``
-        (the default) runs all probes from a single trace with an automatic
-        per-probe fallback, ``probe_scale`` sets the relative magnitude
-        of the probe perturbations, and ``snapshot_schedule`` (with
-        ``snapshot_budget``/``spill_dir``) picks the segmented sweep's
-        boundary-snapshot policy -- ``"all"``, ``"binomial"`` (O(log steps)
-        resident snapshots) or ``"spill"`` (boundaries on disk), all with
-        bitwise-identical masks.  ``trace_cache="plan"`` (the default)
-        compiles each segmented step structure to a replay plan and
-        replays it instead of re-tracing (:mod:`repro.ad.plan`);
-        ``"off"`` re-traces every segment.  ``plan_optimize`` picks the
-        plan lowering level (``"fuse"`` runs the pass pipeline of
-        :mod:`repro.ad.passes`, ``"off"`` replays the raw instruction
-        list) and ``executor`` the plan backend (``"interp"`` or
-        ``"numba"`` with silent interpreter fallback); both require
-        ``sweep="segmented"`` with ``trace_cache="plan"`` and both
-        preserve bitwise-identical masks.  The sweep knobs apply to the
-        ``"ad"`` *and* ``"activity"`` methods: a segmented activity
-        analysis chains per-iteration read masks across boundaries
-        (:func:`repro.ad.activity.segmented_read_masks`) with the same
-        schedules and plan replay, bitwise-identical to the monolithic
-        walk.
+    method, n_probes, steps, rng, probe_scale:
+        Forwarded to :class:`~repro.core.criticality.CriticalityAnalyzer`.
+    **execution:
+        The :class:`~repro.core.criticality.ExecutionConfig` knobs by name;
+        they choose how the analysis runs, never its masks.
     """
     # ``analysis_step`` feeds the analyzer's per-analysis probe-rng
     # derivation: for an explicit state with no explicit step it stays
@@ -256,15 +224,8 @@ def scrutinize(bench, step: int | None = None,
         state = dict(state)
 
     analyzer = CriticalityAnalyzer(method=method, n_probes=n_probes,
-                                   steps=steps, rng=rng, sweep=sweep,
-                                   probe_scale=probe_scale,
-                                   probe_batching=probe_batching,
-                                   snapshot_schedule=snapshot_schedule,
-                                   snapshot_budget=snapshot_budget,
-                                   spill_dir=spill_dir,
-                                   trace_cache=trace_cache,
-                                   plan_optimize=plan_optimize,
-                                   executor=executor)
+                                   steps=steps, rng=rng,
+                                   probe_scale=probe_scale, **execution)
     variables = analyzer.analyze(bench, state=state, step=analysis_step)
     return ScrutinyResult(
         benchmark=bench.name,

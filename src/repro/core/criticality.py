@@ -52,17 +52,16 @@ treatment of loop counters, keys and bucket pointers.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.ad import activity as activity_mod
 from repro.ad import probes as probes_mod
-from repro.ad.plan import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                           DEFAULT_TRACE_CACHE, EXECUTORS, PLAN_OPTIMIZES,
-                           TRACE_CACHES, PlanCache)
+from repro.ad.plan import DEFAULT_TRACE_CACHE, TRACE_CACHES, PlanCache
 from repro.ad.reverse import backward
 from repro.ad.schedule import DEFAULT_SNAPSHOT_SCHEDULE, SNAPSHOT_SCHEDULES
 from repro.ad.segmented import (cast_gradient, gradient_dtype,
@@ -82,6 +81,8 @@ __all__ = [
     "TRACE_CACHES",
     "DEFAULT_TRACE_CACHE",
     "DEFAULT_PROBE_SCALE",
+    "ExecutionConfig",
+    "check_analysis",
     "VariableCriticality",
     "CriticalityAnalyzer",
     "criticality_from_gradient",
@@ -106,6 +107,149 @@ DEFAULT_PROBE_SCALE = 1.0e-3
 
 #: base seed of the per-analysis probe generators (and the legacy default)
 _PROBE_SEED = 20241117
+
+
+def check_analysis(method: str, n_probes: int, probe_scale: float) -> None:
+    """Reject analysis parameters no method can serve (``ValueError``).
+
+    The single check of ``method``, ``n_probes`` and ``probe_scale``,
+    shared by :class:`CriticalityAnalyzer` and the experiment runner so a
+    bad request fails before any job is dispatched or keyed into a store.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if int(n_probes) < 1:
+        raise ValueError("n_probes must be at least 1")
+    if method == "activity" and int(n_probes) != 1:
+        # the read set depends only on the traced structure, never on the
+        # state values, so probing cannot change the masks; raising beats
+        # silently charging for sweeps that prove nothing
+        raise ValueError("method='activity' is value-independent; "
+                         "n_probes must be 1")
+    if not (math.isfinite(float(probe_scale)) and float(probe_scale) > 0):
+        raise ValueError(f"probe_scale must be finite and positive, "
+                         f"got {probe_scale!r}")
+
+
+@dataclass(frozen=True)
+class ExecutionConfig:
+    """How an analysis executes: every knob here leaves the masks unchanged.
+
+    Each strategy is pinned bitwise-identical to the others, so these are
+    implementation choices, not analysis parameters.  They still join the
+    result-store key (all but ``spill_dir``), so cached artefacts of
+    different strategies never alias and their equivalence can be checked
+    from the store.  :meth:`__post_init__` is the one place the allowed
+    values and the cross-knob rules are checked; every entry point
+    (``scrutinize``, :class:`CriticalityAnalyzer`, the experiment runner,
+    the CLI) builds this object and so inherits them.
+
+    Attributes
+    ----------
+    sweep:
+        Sweep strategy of the ``"ad"`` and ``"activity"`` methods:
+        ``"monolithic"`` (default) records every remaining iteration on
+        one tape; ``"segmented"`` chains one iteration's tape at a time
+        (:mod:`repro.ad.segmented`, :func:`repro.ad.activity.
+        segmented_read_masks`), so peak tape memory is bounded by a single
+        iteration.  Ignored by ``"tangent"`` and ``"rule"``.
+    probe_batching:
+        How ``n_probes > 1`` AD evaluations run: ``"batched"`` (default)
+        stacks all probe states along a leading probe axis and runs one
+        traced forward plus one reverse sweep (:mod:`repro.ad.probes`),
+        falling back with a :class:`RuntimeWarning` for kernels that cannot
+        broadcast over the probe axis; ``"per-probe"`` runs one trace per
+        probe.  Ignored when ``n_probes == 1``.
+    snapshot_schedule:
+        Boundary-snapshot retention of the segmented sweep
+        (:mod:`repro.ad.schedule`): ``"all"`` (default) keeps every
+        boundary in memory, ``"binomial"`` keeps O(log steps) and
+        recomputes the rest (revolve-style), ``"spill"`` round-trips the
+        boundaries through the :mod:`repro.ckpt` writer/reader so only one
+        snapshot is resident.  Requires ``sweep="segmented"``.
+    snapshot_budget:
+        In-memory snapshot budget (>= 2) of the ``"binomial"`` schedule;
+        ``None`` (default) = ~log2(steps).  Requires
+        ``snapshot_schedule="binomial"``.
+    trace_cache:
+        ``"plan"`` (default) records each segmented step structure once,
+        compiles it to a replay plan (:mod:`repro.ad.plan`) and replays it
+        for further segments, probes and forward refills; ``"off"``
+        re-traces every segment -- the escape hatch for kernels whose
+        traced structure depends on state values, and the independent
+        oracle the plans are checked against.  ``"off"`` requires
+        ``sweep="segmented"``.
+    spill_dir:
+        Parent directory of the ``"spill"`` schedule's per-sweep scratch
+        directory (``None`` = system temp dir), always removed afterwards.
+        Scratch location, not identity: excluded from equality, hashing and
+        the store key.  Requires ``snapshot_schedule="spill"``.
+
+    A knob that does not apply under the others is rejected rather than
+    ignored: silently accepting it would do nothing while still forking
+    the result-store key.
+    """
+
+    sweep: str = "monolithic"
+    probe_batching: str = "batched"
+    snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE
+    snapshot_budget: int | None = None
+    trace_cache: str = DEFAULT_TRACE_CACHE
+    spill_dir: str | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.sweep not in SWEEPS:
+            raise ValueError(f"unknown sweep {self.sweep!r}; "
+                             f"choose from {SWEEPS}")
+        if self.probe_batching not in PROBE_BATCHING:
+            raise ValueError(f"unknown probe_batching "
+                             f"{self.probe_batching!r}; choose from "
+                             f"{PROBE_BATCHING}")
+        if self.snapshot_schedule not in SNAPSHOT_SCHEDULES:
+            raise ValueError(f"unknown snapshot_schedule "
+                             f"{self.snapshot_schedule!r}; choose from "
+                             f"{SNAPSHOT_SCHEDULES}")
+        if self.snapshot_budget is not None:
+            object.__setattr__(self, "snapshot_budget",
+                               int(self.snapshot_budget))
+            if self.snapshot_budget < 2:
+                raise ValueError("snapshot_budget must be at least 2")
+        if self.trace_cache not in TRACE_CACHES:
+            raise ValueError(f"unknown trace_cache {self.trace_cache!r}; "
+                             f"choose from {TRACE_CACHES}")
+        if self.trace_cache != DEFAULT_TRACE_CACHE \
+                and self.sweep != "segmented":
+            raise ValueError("trace_cache='off' only affects "
+                             "sweep='segmented'")
+        if self.sweep != "segmented" and (
+                self.snapshot_schedule != DEFAULT_SNAPSHOT_SCHEDULE
+                or self.snapshot_budget is not None
+                or self.spill_dir is not None):
+            raise ValueError("snapshot_schedule/snapshot_budget/spill_dir "
+                             "require sweep='segmented'")
+        if self.snapshot_budget is not None \
+                and self.snapshot_schedule != "binomial":
+            raise ValueError("snapshot_budget requires "
+                             "snapshot_schedule='binomial'")
+        if self.spill_dir is not None and self.snapshot_schedule != "spill":
+            raise ValueError("spill_dir requires snapshot_schedule='spill'")
+
+    def kwargs(self) -> dict[str, Any]:
+        """All six knobs by name (to rebuild this config elsewhere)."""
+        return asdict(self)
+
+    def key_params(self) -> dict[str, Any]:
+        """The knobs that join the result-store key (all but spill_dir)."""
+        params = asdict(self)
+        del params["spill_dir"]
+        return params
+
+    def sweep_kwargs(self) -> dict[str, Any]:
+        """The segmented sweeps' schedule and trace-cache keywords."""
+        return {"snapshot_schedule": self.snapshot_schedule,
+                "snapshot_budget": self.snapshot_budget,
+                "spill_dir": self.spill_dir,
+                "trace_cache": self.trace_cache}
 
 
 def criticality_from_gradient(gradient: np.ndarray) -> np.ndarray:
@@ -241,156 +385,23 @@ class CriticalityAnalyzer:
         Number of remaining main-loop iterations to analyse; ``None`` means
         every iteration left until the benchmark completes (the paper's
         setting: criticality with respect to the final output).
-    sweep:
-        Reverse-sweep strategy of the AD and activity methods:
-        ``"monolithic"`` (one tape for the whole remaining computation, the
-        default) or ``"segmented"`` (:mod:`repro.ad.segmented` for "ad",
-        :func:`repro.ad.activity.segmented_read_masks` for "activity" --
-        one iteration's tape at a time, peak memory bounded by a single
-        iteration, bitwise-identical masks).  Ignored by the "tangent" and
-        "rule" methods.
-    snapshot_schedule:
-        Boundary-snapshot retention policy of the segmented sweep
-        (:mod:`repro.ad.schedule`): ``"all"`` (default) keeps every
-        boundary in memory, ``"binomial"`` keeps O(log steps) and
-        recomputes the rest (revolve-style), ``"spill"`` round-trips the
-        boundaries through the :mod:`repro.ckpt` writer/reader so only one
-        snapshot is resident.  All three produce bitwise-identical masks;
-        ignored unless ``sweep="segmented"``.
-    snapshot_budget:
-        In-memory snapshot budget of the ``"binomial"`` schedule (``None``
-        = ~log2(steps)); ignored by the other schedules.
-    spill_dir:
-        Parent directory of the ``"spill"`` schedule's per-sweep scratch
-        directory (``None`` = system temp dir); the scratch directory is
-        always removed, on success and on failure.
-    probe_batching:
-        How ``n_probes > 1`` AD evaluations are executed: ``"batched"``
-        (the default) stacks all probe states along a leading probe axis
-        and runs **one** traced forward plus **one** reverse sweep
-        (:mod:`repro.ad.probes`), falling back automatically -- with a
-        :class:`RuntimeWarning` -- for benchmarks whose kernels cannot
-        broadcast over the probe axis; ``"per-probe"`` forces the legacy
-        one-trace-per-probe loop.  Both produce identical masks (pinned in
-        ``tests/ad/test_probes.py``); ignored when ``n_probes == 1``.
-    trace_cache:
-        Trace-specialisation policy of the segmented sweep
-        (:mod:`repro.ad.plan`): ``"plan"`` (default) records each step
-        structure once, compiles it to a replay plan and replays it for
-        further segments, probes and forward refills -- bitwise-identical
-        gradients and masks, no repeated tracing; ``"off"`` re-traces
-        every segment (the pre-plan behaviour, and the escape hatch for
-        kernels with state-dependent traced structure).  One plan cache is
-        shared per :meth:`analyze` call, so the per-probe loop replays
-        plans learned by earlier probes.  Applies to the "ad" and
-        "activity" methods with ``sweep="segmented"``; ignored by the
-        monolithic sweep and the "tangent"/"rule" methods.
-    plan_optimize:
-        Optimisation level applied when a recorded step is lowered to a
-        replay plan (:mod:`repro.ad.passes`): ``"fuse"`` (default) runs
-        the full pass pipeline -- elementwise/unary chain fusion,
-        dead-slot elimination, liveness-driven arena packing -- and
-        ``"off"`` replays the raw instruction list one op at a time.
-        Both produce bitwise-identical gradients and masks (pinned in
-        ``tests/ad/test_passes.py``); requires ``sweep="segmented"`` and
-        ``trace_cache="plan"``.
-    executor:
-        Backend that runs the lowered plan (:mod:`repro.ad.exec`):
-        ``"interp"`` (default) interprets the instruction stream with
-        preallocated output buffers, ``"numba"`` JIT-compiles eligible
-        fused chains when numba is importable and silently falls back to
-        the interpreter otherwise.  Requires ``sweep="segmented"`` and
-        ``trace_cache="plan"``.
+    **execution:
+        The :class:`ExecutionConfig` knobs by name (``sweep``,
+        ``probe_batching``, ``snapshot_schedule``, ``snapshot_budget``,
+        ``trace_cache``, ``spill_dir``); none of them changes the masks.
     """
 
     def __init__(self, method: str = "ad", n_probes: int = 1,
                  probe_scale: float = DEFAULT_PROBE_SCALE,
                  rng: np.random.Generator | None = None,
-                 steps: int | None = None,
-                 sweep: str = "monolithic",
-                 probe_batching: str = "batched",
-                 snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-                 snapshot_budget: int | None = None,
-                 spill_dir: str | None = None,
-                 trace_cache: str = DEFAULT_TRACE_CACHE,
-                 plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-                 executor: str = DEFAULT_EXECUTOR) -> None:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-        if n_probes < 1:
-            raise ValueError("n_probes must be at least 1")
-        if method == "activity" and int(n_probes) != 1:
-            # the read set depends only on the traced structure, never on
-            # the state values, so probing cannot change the masks; raising
-            # beats silently charging for sweeps that prove nothing
-            raise ValueError("method='activity' is value-independent; "
-                             "n_probes must be 1")
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}; choose from {SWEEPS}")
-        if probe_batching not in PROBE_BATCHING:
-            raise ValueError(f"unknown probe_batching {probe_batching!r}; "
-                             f"choose from {PROBE_BATCHING}")
-        if snapshot_schedule not in SNAPSHOT_SCHEDULES:
-            raise ValueError(f"unknown snapshot_schedule "
-                             f"{snapshot_schedule!r}; choose from "
-                             f"{SNAPSHOT_SCHEDULES}")
-        if snapshot_budget is not None and int(snapshot_budget) < 2:
-            raise ValueError("snapshot_budget must be at least 2")
-        if trace_cache not in TRACE_CACHES:
-            raise ValueError(f"unknown trace_cache {trace_cache!r}; "
-                             f"choose from {TRACE_CACHES}")
-        if trace_cache != DEFAULT_TRACE_CACHE and sweep != "segmented":
-            # the monolithic sweep never replays; accepting the flag there
-            # would do nothing while still forking the result-cache key
-            raise ValueError("trace_cache='off' only affects "
-                             "sweep='segmented'")
-        if plan_optimize not in PLAN_OPTIMIZES:
-            raise ValueError(f"unknown plan_optimize {plan_optimize!r}; "
-                             f"choose from {PLAN_OPTIMIZES}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; "
-                             f"choose from {EXECUTORS}")
-        # plan_optimize/executor configure the compiled replay plans, which
-        # only exist under the segmented sweep's "plan" trace cache; a
-        # non-default value anywhere else would be silently ignored while
-        # still forking the result-cache key
-        if plan_optimize != DEFAULT_PLAN_OPTIMIZE and (
-                sweep != "segmented" or trace_cache != "plan"):
-            raise ValueError("plan_optimize='off' requires sweep='segmented' "
-                             "and trace_cache='plan'")
-        if executor != DEFAULT_EXECUTOR and (
-                sweep != "segmented" or trace_cache != "plan"):
-            raise ValueError(f"executor={executor!r} requires "
-                             "sweep='segmented' and trace_cache='plan'")
-        # inapplicable knobs would be silently ignored by the sweep while
-        # still forking the result-cache key (the CLI repeats these checks
-        # for a friendlier argparse error); every entry point -- scrutinize,
-        # ScrutinyJob, ExperimentRunner -- inherits them from here
-        if sweep != "segmented" and (snapshot_schedule
-                                     != DEFAULT_SNAPSHOT_SCHEDULE
-                                     or snapshot_budget is not None
-                                     or spill_dir is not None):
-            raise ValueError("snapshot_schedule/snapshot_budget/spill_dir "
-                             "require sweep='segmented'")
-        if snapshot_budget is not None and snapshot_schedule != "binomial":
-            raise ValueError("snapshot_budget requires "
-                             "snapshot_schedule='binomial'")
-        if spill_dir is not None and snapshot_schedule != "spill":
-            raise ValueError("spill_dir requires snapshot_schedule='spill'")
+                 steps: int | None = None, **execution: Any) -> None:
+        check_analysis(method, n_probes, probe_scale)
         self.method = method
         self.n_probes = int(n_probes)
         self.probe_scale = float(probe_scale)
         self.rng = rng
         self.steps = steps
-        self.sweep = sweep
-        self.probe_batching = probe_batching
-        self.snapshot_schedule = snapshot_schedule
-        self.snapshot_budget = None if snapshot_budget is None \
-            else int(snapshot_budget)
-        self.spill_dir = spill_dir
-        self.trace_cache = trace_cache
-        self.plan_optimize = plan_optimize
-        self.executor = executor
+        self.execution = ExecutionConfig(**execution)
 
     # ------------------------------------------------------------------
     # public API
@@ -500,13 +511,13 @@ class CriticalityAnalyzer:
         # one replay-plan cache per analysis: every segmented sweep of this
         # analysis (all probes, batched or per-probe) shares the compiled
         # plans, which is where trace-once/replay-many pays off
-        plan_cache = PlanCache(plan_optimize=self.plan_optimize,
-                               executor=self.executor) \
-            if (self.trace_cache == "plan"
-                and self.sweep == "segmented") else None
+        execution = self.execution
+        plan_cache = PlanCache() if (execution.trace_cache == "plan"
+                                     and execution.sweep == "segmented") \
+            else None
 
         stacked = None
-        if self.probe_batching == "batched" and len(states) > 1:
+        if execution.probe_batching == "batched" and len(states) > 1:
             stacked = self._batched_probe_gradients(bench, states, watch,
                                                     plan_cache)
 
@@ -586,18 +597,16 @@ class CriticalityAnalyzer:
         kernel that *fails* mid-trace falls back with a
         :class:`RuntimeWarning` so the slowdown is explainable.
         """
+        segmented = self.execution.sweep == "segmented"
         hooks = ("traced_step_probes", "traced_output_probes") \
-            if self.sweep == "segmented" else ("traced_restart_probes",)
+            if segmented else ("traced_restart_probes",)
         if not all(callable(getattr(bench, hook, None)) for hook in hooks):
             return None
         try:
-            if self.sweep == "segmented":
+            if segmented:
                 return probes_mod.segmented_batched_gradients(
                     bench, states, watch=list(watch), steps=self.steps,
-                    snapshot_schedule=self.snapshot_schedule,
-                    snapshot_budget=self.snapshot_budget,
-                    spill_dir=self.spill_dir,
-                    trace_cache=self.trace_cache, plan_cache=plan_cache)
+                    plan_cache=plan_cache, **self.execution.sweep_kwargs())
             return probes_mod.batched_gradients(bench, states,
                                                 watch=list(watch),
                                                 steps=self.steps)
@@ -632,14 +641,11 @@ class CriticalityAnalyzer:
         tape; ``sweep="segmented"`` chains per-iteration tapes instead
         (bitwise-identical result, peak memory bounded by one iteration).
         """
-        if self.sweep == "segmented":
+        if self.execution.sweep == "segmented":
             return segmented_gradients(bench, state, watch=list(watch),
                                        steps=self.steps,
-                                       snapshot_schedule=self.snapshot_schedule,
-                                       snapshot_budget=self.snapshot_budget,
-                                       spill_dir=self.spill_dir,
-                                       trace_cache=self.trace_cache,
-                                       plan_cache=plan_cache)
+                                       plan_cache=plan_cache,
+                                       **self.execution.sweep_kwargs())
         tape, leaves, output = bench.traced_restart(state, watch=list(watch),
                                                     steps=self.steps)
         keys = list(leaves)
@@ -681,21 +687,16 @@ class CriticalityAnalyzer:
                         variables: Sequence[CheckpointVariable]
                         ) -> dict[str, VariableCriticality]:
         watch = self._watched_keys(variables)
-        if self.sweep == "segmented":
+        if self.execution.sweep == "segmented":
             # the same sweep machinery as _ad_masks: one iteration's tape
             # (or compiled transfer) at a time, chained across boundaries;
             # a fresh per-analysis plan cache keeps repeated analyses of
             # one analyzer honest about what each call costs
-            plan_cache = PlanCache(plan_optimize=self.plan_optimize,
-                                   executor=self.executor) \
-                if self.trace_cache == "plan" else None
+            plan_cache = PlanCache() \
+                if self.execution.trace_cache == "plan" else None
             activity = activity_mod.segmented_read_masks(
                 bench, state, watch=list(watch), steps=self.steps,
-                snapshot_schedule=self.snapshot_schedule,
-                snapshot_budget=self.snapshot_budget,
-                spill_dir=self.spill_dir,
-                trace_cache=self.trace_cache,
-                plan_cache=plan_cache)
+                plan_cache=plan_cache, **self.execution.sweep_kwargs())
             key_masks = {key: activity[key].read for key in watch}
         else:
             tape, leaves, _output = bench.traced_restart(

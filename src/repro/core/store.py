@@ -23,12 +23,11 @@ benchmark for human navigation::
 encoding of the key parameters -- content-addressed, so two stores built
 with the same package version agree on addresses and a parameter change
 (method, n_probes, version bump, ...) can never alias an old entry.  The
-sweep knobs (``sweep``, ``snapshot_schedule``/``snapshot_budget``,
-``trace_cache``, and since repro 1.7.0 ``plan_optimize``/``executor``)
-key *every* method they apply to -- since repro 1.6.0 that includes
-``method="activity"``, whose entries from earlier versions (when those
-knobs were silently ignored) are invalidated by the version field rather
-than aliased.
+:class:`~repro.core.criticality.ExecutionConfig` knobs (all but the spill
+scratch directory) key *every* method they apply to -- since repro 1.6.0
+that includes ``method="activity"``, whose entries from earlier versions
+(when those knobs were silently ignored) are invalidated by the version
+field rather than aliased.
 
 The ``.npz`` member names are namespaced:
 
@@ -70,10 +69,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.analysis import ScrutinyResult
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE,
+from repro.core.criticality import (DEFAULT_PROBE_SCALE, ExecutionConfig,
                                     VariableCriticality)
 from repro.core.variables import CheckpointVariable, VariableKind
 
@@ -97,28 +93,22 @@ def _package_version() -> str:
 
 def cache_key(*, benchmark: str, problem_class: str, method: str,
               n_probes: int, step: int | None = None,
-              steps: int | None = None, sweep: str = "monolithic",
+              steps: int | None = None,
               probe_scale: float = DEFAULT_PROBE_SCALE,
-              probe_batching: str = "batched",
-              snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-              snapshot_budget: int | None = None,
-              trace_cache: str = DEFAULT_TRACE_CACHE,
-              plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-              executor: str = DEFAULT_EXECUTOR,
+              execution: ExecutionConfig | None = None,
               version: str | None = None) -> str:
     """Content address of one analysis configuration.
 
     ``step``/``steps`` of ``None`` mean the benchmark defaults (mid-run
     checkpoint, analyse to completion) and key as such; they are resolved
     deterministically from the other parameters, so the defaults never
-    alias an explicit value.  ``sweep``, ``probe_batching`` and
-    ``snapshot_schedule``/``snapshot_budget`` are part of the key even
-    though the alternative strategies produce identical masks: keeping the
-    entries separate lets the equivalence be *checked* from cached
-    artefacts rather than assumed.  ``probe_scale`` is keyed via its
-    shortest-round-trip ``repr``, so two runs with different perturbation
-    magnitudes can never alias the same entry (they probe genuinely
-    different base states).  The spill scratch directory is deliberately
+    alias an explicit value.  The ``execution`` knobs (``None`` = the
+    defaults) are part of the key even though every strategy produces
+    identical masks: keeping the entries separate lets the equivalence be
+    *checked* from cached artefacts rather than assumed.  ``probe_scale``
+    is keyed via its shortest-round-trip ``repr``, so two runs with
+    different perturbation magnitudes can never alias the same entry (they
+    probe genuinely different base states).  The spill scratch directory is deliberately
     *not* keyed: it is transient storage, not analysis identity.
     """
     payload = {
@@ -128,16 +118,9 @@ def cache_key(*, benchmark: str, problem_class: str, method: str,
         "method": str(method),
         "n_probes": int(n_probes),
         "probe_scale": float(probe_scale),
-        "probe_batching": str(probe_batching),
-        "snapshot_schedule": str(snapshot_schedule),
-        "snapshot_budget": None if snapshot_budget is None
-        else int(snapshot_budget),
-        "trace_cache": str(trace_cache),
-        "plan_optimize": str(plan_optimize),
-        "executor": str(executor),
+        **(execution or ExecutionConfig()).key_params(),
         "step": None if step is None else int(step),
         "steps": None if steps is None else int(steps),
-        "sweep": str(sweep),
         "version": version if version is not None else _package_version(),
     }
     blob = json.dumps(payload, sort_keys=True).encode("ascii")
@@ -202,27 +185,10 @@ class ResultStore:
     # ------------------------------------------------------------------
     # addressing
     # ------------------------------------------------------------------
-    def key(self, *, benchmark: str, problem_class: str, method: str,
-            n_probes: int, step: int | None = None,
-            steps: int | None = None, sweep: str = "monolithic",
-            probe_scale: float = DEFAULT_PROBE_SCALE,
-            probe_batching: str = "batched",
-            snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-            snapshot_budget: int | None = None,
-            trace_cache: str = DEFAULT_TRACE_CACHE,
-            plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-            executor: str = DEFAULT_EXECUTOR) -> str:
-        """Cache key of one analysis configuration under this store."""
-        return cache_key(benchmark=benchmark, problem_class=problem_class,
-                         method=method, n_probes=n_probes, step=step,
-                         steps=steps, sweep=sweep, probe_scale=probe_scale,
-                         probe_batching=probe_batching,
-                         snapshot_schedule=snapshot_schedule,
-                         snapshot_budget=snapshot_budget,
-                         trace_cache=trace_cache,
-                         plan_optimize=plan_optimize,
-                         executor=executor,
-                         version=self.version)
+    def key(self, **params: Any) -> str:
+        """Cache key of one analysis configuration under this store
+        (:func:`cache_key`'s parameters, minus ``version``)."""
+        return cache_key(**params, version=self.version)
 
     def _paths(self, benchmark: str, key: str) -> tuple[Path, Path]:
         directory = self.root / str(benchmark).upper()
@@ -407,56 +373,24 @@ class ResultStore:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def fetch(self, *, benchmark: str, problem_class: str, method: str,
-              n_probes: int, step: int | None = None,
-              steps: int | None = None,
-              sweep: str = "monolithic",
-              probe_scale: float = DEFAULT_PROBE_SCALE,
-              probe_batching: str = "batched",
-              snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-              snapshot_budget: int | None = None,
-              trace_cache: str = DEFAULT_TRACE_CACHE,
-              plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-              executor: str = DEFAULT_EXECUTOR
+    def fetch(self, *, benchmark: str, **params: Any
               ) -> ScrutinyResult | None:
-        """``load`` keyed directly by analysis parameters."""
-        key = self.key(benchmark=benchmark, problem_class=problem_class,
-                       method=method, n_probes=n_probes, step=step,
-                       steps=steps, sweep=sweep, probe_scale=probe_scale,
-                       probe_batching=probe_batching,
-                       snapshot_schedule=snapshot_schedule,
-                       snapshot_budget=snapshot_budget,
-                       trace_cache=trace_cache,
-                       plan_optimize=plan_optimize,
-                       executor=executor)
-        return self.load(benchmark, key)
+        """``load`` keyed directly by analysis parameters (those of
+        :func:`cache_key`, minus ``version``)."""
+        return self.load(benchmark, self.key(benchmark=benchmark, **params))
 
-    def put(self, result: ScrutinyResult, *, n_probes: int,
-            step: int | None = None, steps: int | None = None,
-            sweep: str = "monolithic",
-            probe_scale: float = DEFAULT_PROBE_SCALE,
-            probe_batching: str = "batched",
-            snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE,
-            snapshot_budget: int | None = None,
-            trace_cache: str = DEFAULT_TRACE_CACHE,
-            plan_optimize: str = DEFAULT_PLAN_OPTIMIZE,
-            executor: str = DEFAULT_EXECUTOR) -> Path:
+    def put(self, result: ScrutinyResult, **params: Any) -> Path:
         """``save`` keyed by the parameters that produced ``result``.
 
+        ``params`` are :func:`cache_key`'s parameters other than the ones
+        the result itself carries (benchmark, problem class, method).
         ``step`` is the *requested* checkpoint step (``None`` for the
         mid-run default), not the resolved ``result.step``, so lookups with
         the default keep hitting.
         """
         key = self.key(benchmark=result.benchmark,
                        problem_class=result.problem_class,
-                       method=result.method, n_probes=n_probes, step=step,
-                       steps=steps, sweep=sweep, probe_scale=probe_scale,
-                       probe_batching=probe_batching,
-                       snapshot_schedule=snapshot_schedule,
-                       snapshot_budget=snapshot_budget,
-                       trace_cache=trace_cache,
-                       plan_optimize=plan_optimize,
-                       executor=executor)
+                       method=result.method, **params)
         self.save(key, result)
         return self._paths(result.benchmark, key)[0]
 

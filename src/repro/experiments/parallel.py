@@ -7,7 +7,8 @@ fans such jobs out across a process pool and merges the results back
 deterministically:
 
 * :class:`ScrutinyJob` -- a picklable, hashable description of one analysis
-  (benchmark, problem class, method, n_probes, step, steps);
+  (benchmark, problem class, method, n_probes, step, steps, probe scale and
+  the :class:`~repro.core.criticality.ExecutionConfig` it runs under);
 * :func:`run_job` -- the module-level (hence spawn-safe) worker function;
 * :class:`ParallelRunner` -- schedules jobs over an optional
   :class:`~repro.core.store.ResultStore` (cache first, pool second),
@@ -50,10 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.analysis import ScrutinyResult, scrutinize
-from repro.core.criticality import (DEFAULT_EXECUTOR, DEFAULT_PLAN_OPTIMIZE,
-                                    DEFAULT_PROBE_SCALE,
-                                    DEFAULT_SNAPSHOT_SCHEDULE,
-                                    DEFAULT_TRACE_CACHE)
+from repro.core.criticality import DEFAULT_PROBE_SCALE, ExecutionConfig
 from repro.core.store import ResultStore
 from repro.experiments.faults import (DEFAULT_FAULT_POLICY, BatchJournal,
                                       ChaosConfig, ChaosHang, FaultPolicy,
@@ -71,13 +69,11 @@ __all__ = ["ScrutinyJob", "ParallelRunner", "run_job", "job_token",
 class ScrutinyJob:
     """One unit of analysis work; picklable and usable as a dict key.
 
-    The sweep knobs (``sweep``, ``snapshot_schedule``/``snapshot_budget``,
-    ``trace_cache``, ``plan_optimize``/``executor``) parameterise the
-    ``"ad"`` and ``"activity"`` methods
-    alike -- a segmented activity job chains read masks across boundaries
-    and replays compiled plan transfers, bitwise-identical to the
-    monolithic walk -- and all join :meth:`key_params`, so jobs differing
-    in any of them never alias in the result store.
+    ``execution`` joins the job's identity and :meth:`key_params`, so jobs
+    differing in any execution knob never alias in the result store --
+    except ``spill_dir``, which :class:`ExecutionConfig` keeps out of its
+    equality and hash (jobs differing only in scratch location are the
+    same analysis and deduplicate).
     """
 
     benchmark: str
@@ -86,19 +82,8 @@ class ScrutinyJob:
     n_probes: int = 1
     step: int | None = None
     steps: int | None = None
-    sweep: str = "monolithic"
     probe_scale: float = DEFAULT_PROBE_SCALE
-    probe_batching: str = "batched"
-    snapshot_schedule: str = DEFAULT_SNAPSHOT_SCHEDULE
-    snapshot_budget: int | None = None
-    trace_cache: str = DEFAULT_TRACE_CACHE
-    plan_optimize: str = DEFAULT_PLAN_OPTIMIZE
-    executor: str = DEFAULT_EXECUTOR
-    #: scratch location of the "spill" schedule -- execution detail, not
-    #: analysis identity, hence absent from :meth:`key_params` and from the
-    #: job's equality/hash (jobs differing only in scratch location are the
-    #: same analysis and must deduplicate)
-    spill_dir: str | None = field(default=None, compare=False)
+    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmark", self.benchmark.upper())
@@ -112,14 +97,8 @@ class ScrutinyJob:
             "n_probes": self.n_probes,
             "step": self.step,
             "steps": self.steps,
-            "sweep": self.sweep,
             "probe_scale": self.probe_scale,
-            "probe_batching": self.probe_batching,
-            "snapshot_schedule": self.snapshot_schedule,
-            "snapshot_budget": self.snapshot_budget,
-            "trace_cache": self.trace_cache,
-            "plan_optimize": self.plan_optimize,
-            "executor": self.executor,
+            "execution": self.execution,
         }
 
 
@@ -132,7 +111,9 @@ def job_token(job: ScrutinyJob) -> str:
     same *jobs* under the next, even though their cached results are
     invalidated.
     """
-    blob = json.dumps(job.key_params(), sort_keys=True, default=repr)
+    params = dict(job.key_params(),
+                  execution=job.execution.key_params())
+    blob = json.dumps(params, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
@@ -146,14 +127,8 @@ def run_job(job: ScrutinyJob) -> ScrutinyResult:
     bench = registry.create(job.benchmark, job.problem_class)
     return scrutinize(bench, step=job.step, method=job.method,
                       n_probes=job.n_probes, steps=job.steps,
-                      sweep=job.sweep, probe_scale=job.probe_scale,
-                      probe_batching=job.probe_batching,
-                      snapshot_schedule=job.snapshot_schedule,
-                      snapshot_budget=job.snapshot_budget,
-                      spill_dir=job.spill_dir,
-                      trace_cache=job.trace_cache,
-                      plan_optimize=job.plan_optimize,
-                      executor=job.executor)
+                      probe_scale=job.probe_scale,
+                      **job.execution.kwargs())
 
 
 def _guarded_run_job(job: ScrutinyJob, attempt: int,
@@ -336,14 +311,8 @@ class ParallelRunner:
             try:
                 self.store.put(result, n_probes=job.n_probes,
                                step=job.step, steps=job.steps,
-                               sweep=job.sweep,
                                probe_scale=job.probe_scale,
-                               probe_batching=job.probe_batching,
-                               snapshot_schedule=job.snapshot_schedule,
-                               snapshot_budget=job.snapshot_budget,
-                               trace_cache=job.trace_cache,
-                               plan_optimize=job.plan_optimize,
-                               executor=job.executor)
+                               execution=job.execution)
                 stored = True
             except OSError:
                 # an unwritable store degrades to no persistence;

@@ -4,10 +4,10 @@
 The pass pipeline -- elementwise/unary chain fusion, dead-slot
 elimination, liveness-driven arena packing -- may only ever be a
 *performance* transformation: a fused replay must produce the exact bits
-the unfused interpreter produces, forward and reverse, for arbitrary
-chain programs.  These tests pin that with randomized chains, pin the
-packing invariant (packed arena never exceeds the unpacked arena), and
-pin the IR's serialisation round-trip.
+the tracer (``trace_cache="off"``, the independent oracle) produces,
+forward and reverse, for arbitrary chain programs.  These tests pin that
+with randomized chains, pin the packing invariant (packed arena never
+exceeds the unpacked arena), and pin the IR's serialisation round-trip.
 """
 
 from __future__ import annotations
@@ -125,28 +125,20 @@ class TestRandomizedChainFusion:
     @pytest.mark.parametrize("seed", range(8))
     def test_fused_matches_unfused_bitwise(self, seed):
         """Forward replay and reverse sweep of a random chain: the fused
-        executor and the unfused interpreter must agree bit for bit with
-        each other and with the tracer."""
+        plan and the unfused tracer must agree bit for bit."""
         bench = _ChainBench(seed)
         state = bench.initial_state()
         reference = segmented_gradients(bench, state, trace_cache="off")
 
-        grads, caches = {}, {}
-        for mode in ("fuse", "off"):
-            cache = PlanCache(plan_optimize=mode)
-            for _ in range(3):   # capture, compile, warm replay
-                grads[mode] = segmented_gradients(bench, state,
-                                                  plan_cache=cache)
-            caches[mode] = cache
+        cache = PlanCache()
+        for _ in range(3):   # capture, compile, warm replay
+            grads = segmented_gradients(bench, state, plan_cache=cache)
 
         for key in reference:
-            _assert_bitwise(reference[key], grads["fuse"][key],
+            _assert_bitwise(reference[key], grads[key],
                             f"seed {seed} fuse[{key}]")
-            _assert_bitwise(reference[key], grads["off"][key],
-                            f"seed {seed} off[{key}]")
         # the chains are built to fuse: a silent no-op pass would hide bugs
-        assert caches["fuse"].fused_ops > 0, "fusion never engaged"
-        assert caches["off"].fused_ops == 0
+        assert cache.fused_ops > 0, "fusion never engaged"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fused_forward_replay_matches_run(self, seed):
@@ -156,7 +148,7 @@ class TestRandomizedChainFusion:
         state = bench.initial_state()
         expected = bench.run(state, 1)
 
-        cache = PlanCache(plan_optimize="fuse")
+        cache = PlanCache()
         for _ in range(3):
             segmented_gradients(bench, state, plan_cache=cache)
         planner = cache.planner(bench, "step", ("x",))
@@ -169,7 +161,7 @@ class TestRandomizedChainFusion:
         packing: transient interiors coalesce into a few buffers."""
         bench = _ChainBench(seed=0, length=12)
         state = bench.initial_state()
-        cache = PlanCache(plan_optimize="fuse")
+        cache = PlanCache()
         for _ in range(3):
             segmented_gradients(bench, state, plan_cache=cache)
         assert 0 < cache.arena_nbytes_packed < cache.arena_nbytes
@@ -185,7 +177,7 @@ class TestArenaPackingRegression:
         bench = registry.create(name, "T")
         steps = min(3, bench.total_steps)
         state = bench.checkpoint_state(bench.total_steps - steps)
-        cache = PlanCache(plan_optimize="fuse")
+        cache = PlanCache()
         stats = SweepStats()
         for _ in range(2):
             segmented_gradients(bench, state, steps=steps,
@@ -193,24 +185,10 @@ class TestArenaPackingRegression:
         assert cache.arena_nbytes > 0, "no plan compiled"
         assert 0 < cache.arena_nbytes_packed <= cache.arena_nbytes
         assert stats.plan_arena_nbytes_packed == cache.arena_nbytes_packed
-        assert stats.executor_kind == "interp"
-
-    @pytest.mark.parametrize("name", COARSE_PORTS)
-    def test_off_mode_reports_unpacked_arena(self, name):
-        bench = registry.create(name, "T")
-        steps = min(3, bench.total_steps)
-        state = bench.checkpoint_state(bench.total_steps - steps)
-        cache = PlanCache(plan_optimize="off")
-        for _ in range(2):
-            segmented_gradients(bench, state, steps=steps, plan_cache=cache)
-        assert cache.arena_nbytes > 0
-        assert cache.arena_nbytes_packed == cache.arena_nbytes
-        assert cache.fused_ops == 0
-        assert cache.eliminated_slots == 0
 
 
 # ---------------------------------------------------------------------------
-# port gradients and masks, fused vs unfused
+# port gradients and masks, fused plan vs the tracer (trace_cache="off")
 # ---------------------------------------------------------------------------
 
 class TestPortParityFuseVsOff:
@@ -219,31 +197,30 @@ class TestPortParityFuseVsOff:
         bench = registry.create(name, "T")
         steps = min(3, bench.total_steps)
         state = bench.checkpoint_state(bench.total_steps - steps)
-        grads = {}
-        for mode in ("fuse", "off"):
-            cache = PlanCache(plan_optimize=mode)
-            for _ in range(3):
-                grads[mode] = segmented_gradients(bench, state, steps=steps,
-                                                  plan_cache=cache)
-        for key in grads["fuse"]:
-            _assert_bitwise(grads["fuse"][key], grads["off"][key],
-                            f"{name}[{key}]")
+        reference = segmented_gradients(bench, state, steps=steps,
+                                        trace_cache="off")
+        cache = PlanCache()
+        for _ in range(3):
+            grads = segmented_gradients(bench, state, steps=steps,
+                                        plan_cache=cache)
+        for key in reference:
+            _assert_bitwise(reference[key], grads[key], f"{name}[{key}]")
 
     @pytest.mark.parametrize("name", ("SP", "CG"))
     def test_activity_masks_identical(self, name):
         """Dead-slot elimination only prunes the *executable* program; the
         activity transfer walks the full instruction list, so masks cannot
-        depend on the optimisation level."""
+        differ from the traced walk's."""
         bench = registry.create(name, "T")
         steps = min(3, bench.total_steps)
         state = bench.checkpoint_state(bench.total_steps - steps)
         results = {}
-        for mode in ("fuse", "off"):
+        for mode in ("plan", "off"):
             results[mode] = scrutinize(registry.create(name, "T"),
                                        state=dict(state), steps=steps,
                                        method="activity", sweep="segmented",
-                                       plan_optimize=mode)
-        for var, crit in results["fuse"].variables.items():
+                                       trace_cache=mode)
+        for var, crit in results["plan"].variables.items():
             np.testing.assert_array_equal(
                 crit.mask, results["off"].variables[var].mask, err_msg=var)
 

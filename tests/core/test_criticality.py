@@ -71,7 +71,7 @@ class TestAnalyzerConstruction:
             CriticalityAnalyzer(probe_batching="vectorised")
 
     def test_probe_batching_defaults_to_batched(self):
-        assert CriticalityAnalyzer().probe_batching == "batched"
+        assert CriticalityAnalyzer().execution.probe_batching == "batched"
 
 
 class TestPerturbStateDtypes:

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.core import analysis
+from repro.core.criticality import ExecutionConfig
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.runner import ExperimentRunner
 
@@ -35,12 +36,16 @@ class TestCacheKey:
             dict(KEY_PARAMS, n_probes=2),
             dict(KEY_PARAMS, step=3),
             dict(KEY_PARAMS, steps=1),
-            dict(KEY_PARAMS, sweep="segmented"),
             dict(KEY_PARAMS, probe_scale=1.0e-2),
-            dict(KEY_PARAMS, probe_batching="per-probe"),
-            dict(KEY_PARAMS, snapshot_schedule="binomial"),
-            dict(KEY_PARAMS, snapshot_schedule="spill"),
-            dict(KEY_PARAMS, snapshot_budget=4),
+            *(dict(KEY_PARAMS, execution=ExecutionConfig(**knobs))
+              for knobs in (
+                  dict(sweep="segmented"),
+                  dict(probe_batching="per-probe"),
+                  dict(sweep="segmented", snapshot_schedule="binomial"),
+                  dict(sweep="segmented", snapshot_schedule="spill"),
+                  dict(sweep="segmented", snapshot_schedule="binomial",
+                       snapshot_budget=4),
+                  dict(sweep="segmented", trace_cache="off"))),
             dict(KEY_PARAMS, version="0.0.0-other"),
         ]
         keys = [cache_key(**params) for params in variants]

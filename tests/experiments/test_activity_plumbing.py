@@ -19,10 +19,13 @@ from repro.ad import activity as activity_mod
 from repro.cli import build_parser, main
 from repro.core import criticality as criticality_mod
 from repro.core.analysis import scrutinize
-from repro.core.criticality import CriticalityAnalyzer
+from repro.core.criticality import CriticalityAnalyzer, ExecutionConfig
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ScrutinyJob, run_job
 from repro.npb import registry
+
+
+SEGMENTED = ExecutionConfig(sweep="segmented")
 
 
 class TestAnalyzerHonoursSweepKnobs:
@@ -91,9 +94,10 @@ class TestActivityJobsAndStoreKeys:
     def test_segmented_activity_job_roundtrip(self):
         mono = run_job(ScrutinyJob("CG", "T", method="activity"))
         seg = run_job(ScrutinyJob("CG", "T", method="activity",
-                                  sweep="segmented",
-                                  snapshot_schedule="binomial",
-                                  trace_cache="plan"))
+                                  execution=ExecutionConfig(
+                                      sweep="segmented",
+                                      snapshot_schedule="binomial",
+                                      trace_cache="plan")))
         for name, crit in mono.variables.items():
             np.testing.assert_array_equal(crit.mask,
                                           seg.variables[name].mask)
@@ -101,16 +105,17 @@ class TestActivityJobsAndStoreKeys:
     def test_activity_sweep_keys_never_alias(self):
         base = dict(benchmark="CG", problem_class="T", method="activity",
                     n_probes=1, version="1")
-        mono = cache_key(**base, sweep="monolithic")
-        seg = cache_key(**base, sweep="segmented")
-        planned = cache_key(**base, sweep="segmented", trace_cache="off")
+        mono = cache_key(**base, execution=ExecutionConfig())
+        seg = cache_key(**base, execution=SEGMENTED)
+        planned = cache_key(**base, execution=ExecutionConfig(
+            sweep="segmented", trace_cache="off"))
         assert len({mono, seg, planned}) == 3
 
     def test_version_bump_invalidates_pre_refactor_entries(self):
         # entries written while the knobs were ignored carry the old
         # version; the 1.6.0 bump must address them differently
         base = dict(benchmark="CG", problem_class="T", method="activity",
-                    n_probes=1, sweep="segmented")
+                    n_probes=1, execution=SEGMENTED)
         old = cache_key(**base, version="1.5.0")
         new = cache_key(**base, version="1.6.0")
         assert old != new
@@ -118,14 +123,14 @@ class TestActivityJobsAndStoreKeys:
     def test_store_roundtrip_under_segmented_activity_key(self, tmp_path):
         store = ResultStore(tmp_path)
         result = run_job(ScrutinyJob("CG", "T", method="activity",
-                                     sweep="segmented"))
-        store.put(result, n_probes=1, sweep="segmented")
+                                     execution=SEGMENTED))
+        store.put(result, n_probes=1, execution=SEGMENTED)
         assert store.fetch(benchmark="CG", problem_class="T",
                            method="activity", n_probes=1,
-                           sweep="segmented") is not None
+                           execution=SEGMENTED) is not None
         assert store.fetch(benchmark="CG", problem_class="T",
                            method="activity", n_probes=1,
-                           sweep="monolithic") is None
+                           execution=ExecutionConfig()) is None
 
 
 class TestActivityCLI:

@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.core.criticality import CriticalityAnalyzer
+from repro.core.criticality import CriticalityAnalyzer, ExecutionConfig
 from repro.core.store import cache_key
 from repro.experiments.parallel import ScrutinyJob
 from repro.experiments.runner import ExperimentRunner
@@ -25,21 +25,26 @@ class TestAnalyzerValidation:
 
     def test_defaults_construct(self):
         analyzer = CriticalityAnalyzer(sweep="segmented")
-        assert analyzer.trace_cache == "plan"
+        assert analyzer.execution.trace_cache == "plan"
+
+
+def _segmented(trace_cache: str = "plan") -> ExecutionConfig:
+    return ExecutionConfig(sweep="segmented", trace_cache=trace_cache)
 
 
 class TestStoreKey:
     PARAMS = dict(benchmark="CG", problem_class="T", method="ad",
-                  n_probes=1, sweep="segmented")
+                  n_probes=1, execution=_segmented())
 
     def test_trace_cache_forks_the_key(self):
-        on = cache_key(**self.PARAMS, trace_cache="plan")
-        off = cache_key(**self.PARAMS, trace_cache="off")
+        on = cache_key(**self.PARAMS)
+        off = cache_key(**dict(self.PARAMS, execution=_segmented("off")))
         assert on != off
 
     def test_default_matches_explicit_plan(self):
-        assert cache_key(**self.PARAMS) == cache_key(**self.PARAMS,
-                                                     trace_cache="plan")
+        params = dict(self.PARAMS,
+                      execution=ExecutionConfig(sweep="segmented"))
+        assert cache_key(**self.PARAMS) == cache_key(**params)
 
     def test_version_bumped_to_1_4(self):
         # trace_cache joined the key payload in 1.4.0; the bump guarantees
@@ -52,17 +57,15 @@ class TestStoreKey:
 
 class TestJobAndRunner:
     def test_job_key_params_carry_trace_cache(self):
-        job = ScrutinyJob(benchmark="cg", sweep="segmented",
-                          trace_cache="off")
-        assert job.key_params()["trace_cache"] == "off"
+        job = ScrutinyJob(benchmark="cg", execution=_segmented("off"))
+        assert job.key_params()["execution"].trace_cache == "off"
         # different policies are different analyses and must not dedupe
-        assert job != ScrutinyJob(benchmark="cg", sweep="segmented",
-                                  trace_cache="plan")
+        assert job != ScrutinyJob(benchmark="cg", execution=_segmented())
 
     def test_runner_threads_trace_cache_through(self):
         runner = ExperimentRunner(problem_class="T", sweep="segmented",
                                   trace_cache="off")
-        assert runner.trace_cache == "off"
+        assert runner.execution.trace_cache == "off"
         result = runner.result("EP")
         assert result.benchmark == "EP"
 

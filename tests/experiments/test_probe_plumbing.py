@@ -15,41 +15,46 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.criticality import ExecutionConfig
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
 from repro.experiments.runner import ExperimentRunner
 
 
+PER_PROBE = ExecutionConfig(probe_batching="per-probe")
+
+
 class TestScrutinyJobProbes:
     def test_defaults(self):
         job = ScrutinyJob("CG", "T")
-        assert job.probe_batching == "batched"
+        assert job.execution.probe_batching == "batched"
         assert job.probe_scale == pytest.approx(1.0e-3)
         params = job.key_params()
-        assert params["probe_batching"] == "batched"
+        assert params["execution"].probe_batching == "batched"
         assert params["probe_scale"] == pytest.approx(1.0e-3)
 
     def test_jobs_differing_only_in_probe_knobs_are_distinct(self):
         base = ScrutinyJob("CG", "T", n_probes=3)
-        looped = ScrutinyJob("CG", "T", n_probes=3,
-                             probe_batching="per-probe")
+        looped = ScrutinyJob("CG", "T", n_probes=3, execution=PER_PROBE)
         wider = ScrutinyJob("CG", "T", n_probes=3, probe_scale=1.0e-2)
         assert len({base, looped, wider}) == 3
 
     def test_run_job_batched_matches_per_probe(self):
         batched = run_job(ScrutinyJob("CG", "T", n_probes=3))
         looped = run_job(ScrutinyJob("CG", "T", n_probes=3,
-                                     probe_batching="per-probe"))
+                                     execution=PER_PROBE))
         for name, crit in batched.variables.items():
             np.testing.assert_array_equal(crit.mask,
                                           looped.variables[name].mask)
 
     def test_run_job_batched_matches_per_probe_segmented(self):
-        batched = run_job(ScrutinyJob("FT", "T", n_probes=2,
-                                      sweep="segmented"))
-        looped = run_job(ScrutinyJob("FT", "T", n_probes=2,
-                                     sweep="segmented",
-                                     probe_batching="per-probe"))
+        batched = run_job(ScrutinyJob(
+            "FT", "T", n_probes=2,
+            execution=ExecutionConfig(sweep="segmented")))
+        looped = run_job(ScrutinyJob(
+            "FT", "T", n_probes=2,
+            execution=ExecutionConfig(sweep="segmented",
+                                      probe_batching="per-probe")))
         for name, crit in batched.variables.items():
             np.testing.assert_array_equal(crit.mask,
                                           looped.variables[name].mask)
@@ -62,8 +67,8 @@ class TestStoreProbeKeys:
         base = cache_key(**self.PARAMS, version="1")
         assert base != cache_key(**self.PARAMS, probe_scale=5.0e-3,
                                  version="1")
-        assert base != cache_key(**self.PARAMS,
-                                 probe_batching="per-probe", version="1")
+        assert base != cache_key(**self.PARAMS, execution=PER_PROBE,
+                                 version="1")
 
     def test_put_fetch_roundtrip_under_probe_keys(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -73,13 +78,13 @@ class TestStoreProbeKeys:
         assert store.fetch(**self.PARAMS, probe_scale=5.0e-3) is not None
         assert store.fetch(**self.PARAMS) is None          # default scale
         assert store.fetch(**self.PARAMS, probe_scale=5.0e-3,
-                           probe_batching="per-probe") is None
+                           execution=PER_PROBE) is None
 
     def test_parallel_runner_persists_under_job_probe_knobs(self, tmp_path):
         store = ResultStore(tmp_path)
         engine = ParallelRunner(workers=1, store=store)
         job = ScrutinyJob("CG", "T", n_probes=2, probe_scale=2.0e-3,
-                          probe_batching="per-probe")
+                          execution=PER_PROBE)
         engine.run([job])
         assert store.fetch(**job.key_params()) is not None
         before = store.hits

@@ -15,38 +15,44 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.core.criticality import CriticalityAnalyzer
+from repro.core.criticality import CriticalityAnalyzer, ExecutionConfig
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
 from repro.experiments.runner import ExperimentRunner
 
 
+def _segmented(**knobs) -> ExecutionConfig:
+    return ExecutionConfig(sweep="segmented", **knobs)
+
+
 class TestScrutinyJobSchedule:
     def test_schedule_defaults_to_all(self):
         job = ScrutinyJob("CG", "T")
-        assert job.snapshot_schedule == "all"
-        assert job.snapshot_budget is None
-        assert job.key_params()["snapshot_schedule"] == "all"
-        assert job.key_params()["snapshot_budget"] is None
+        assert job.execution.snapshot_schedule == "all"
+        assert job.execution.snapshot_budget is None
+        assert job.key_params()["execution"].key_params()[
+            "snapshot_schedule"] == "all"
+        assert job.key_params()["execution"].key_params()[
+            "snapshot_budget"] is None
 
     def test_jobs_differing_only_in_schedule_are_distinct(self):
-        jobs = {ScrutinyJob("CG", "T", sweep="segmented"),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="binomial"),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="binomial", snapshot_budget=4),
-                ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="spill")}
+        jobs = {ScrutinyJob("CG", "T", execution=_segmented()),
+                ScrutinyJob("CG", "T", execution=_segmented(
+                    snapshot_schedule="binomial")),
+                ScrutinyJob("CG", "T", execution=_segmented(
+                    snapshot_schedule="binomial", snapshot_budget=4)),
+                ScrutinyJob("CG", "T", execution=_segmented(
+                    snapshot_schedule="spill"))}
         assert len(jobs) == 4
 
     def test_spill_dir_is_not_analysis_identity(self):
-        job = ScrutinyJob("CG", "T", sweep="segmented",
-                          snapshot_schedule="spill", spill_dir="/tmp/a")
-        assert "spill_dir" not in job.key_params()
+        job = ScrutinyJob("CG", "T", execution=_segmented(
+            snapshot_schedule="spill", spill_dir="/tmp/a"))
+        assert "spill_dir" not in job.execution.key_params()
         # ... nor job identity: same analysis in a different scratch
         # location must deduplicate inside one batch
-        other = ScrutinyJob("CG", "T", sweep="segmented",
-                            snapshot_schedule="spill", spill_dir="/tmp/b")
+        other = ScrutinyJob("CG", "T", execution=_segmented(
+            snapshot_schedule="spill", spill_dir="/tmp/b"))
         assert job == other
         assert len({job, other}) == 1
 
@@ -54,9 +60,9 @@ class TestScrutinyJobSchedule:
     def test_run_job_matches_all_schedule(self, policy, tmp_path):
         knobs = {"snapshot_budget": 2} if policy == "binomial" \
             else {"spill_dir": str(tmp_path)}
-        base = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
-        other = run_job(ScrutinyJob("FT", "T", sweep="segmented",
-                                    snapshot_schedule=policy, **knobs))
+        base = run_job(ScrutinyJob("FT", "T", execution=_segmented()))
+        other = run_job(ScrutinyJob("FT", "T", execution=_segmented(
+            snapshot_schedule=policy, **knobs)))
         for name, crit in base.variables.items():
             np.testing.assert_array_equal(crit.mask,
                                           other.variables[name].mask)
@@ -65,26 +71,27 @@ class TestScrutinyJobSchedule:
 
 class TestStoreScheduleKey:
     PARAMS = dict(benchmark="CG", problem_class="T", method="ad", n_probes=1,
-                  sweep="segmented")
+                  execution=_segmented())
+
+    @staticmethod
+    def _key(**knobs) -> str:
+        params = dict(TestStoreScheduleKey.PARAMS,
+                      execution=_segmented(**knobs))
+        return cache_key(**params, version="1")
 
     def test_schedule_is_part_of_the_key(self):
-        keys = {cache_key(**self.PARAMS, version="1"),
-                cache_key(**self.PARAMS, snapshot_schedule="binomial",
-                          version="1"),
-                cache_key(**self.PARAMS, snapshot_schedule="spill",
-                          version="1")}
+        keys = {self._key(), self._key(snapshot_schedule="binomial"),
+                self._key(snapshot_schedule="spill")}
         assert len(keys) == 3
 
     def test_budget_is_part_of_the_key(self):
-        keys = {cache_key(**self.PARAMS, snapshot_schedule="binomial",
-                          snapshot_budget=b, version="1")
+        keys = {self._key(snapshot_schedule="binomial", snapshot_budget=b)
                 for b in (None, 2, 3, 8)}
         assert len(keys) == 4
 
     def test_default_schedule_key_is_all(self):
         assert cache_key(**self.PARAMS, version="1") == \
-            cache_key(**self.PARAMS, snapshot_schedule="all",
-                      snapshot_budget=None, version="1")
+            self._key(snapshot_schedule="all", snapshot_budget=None)
 
     def test_version_bumped_past_1_2_0(self):
         # the schedule/budget fields joined the key payload in 1.3.0 (and
@@ -96,22 +103,20 @@ class TestStoreScheduleKey:
 
     def test_put_fetch_roundtrip_under_schedule_key(self, tmp_path):
         store = ResultStore(tmp_path)
-        result = run_job(ScrutinyJob("CG", "T", sweep="segmented",
-                                     snapshot_schedule="binomial"))
-        store.put(result, n_probes=1, sweep="segmented",
-                  snapshot_schedule="binomial")
-        assert store.fetch(**self.PARAMS,
-                           snapshot_schedule="binomial") is not None
+        binomial = _segmented(snapshot_schedule="binomial")
+        result = run_job(ScrutinyJob("CG", "T", execution=binomial))
+        store.put(result, n_probes=1, execution=binomial)
+        params = dict(self.PARAMS, execution=binomial)
+        assert store.fetch(**params) is not None
         assert store.fetch(**self.PARAMS) is None
-        assert store.fetch(**self.PARAMS,
-                           snapshot_schedule="spill") is None
+        params["execution"] = _segmented(snapshot_schedule="spill")
+        assert store.fetch(**params) is None
 
     def test_parallel_runner_persists_under_job_schedule(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(workers=1, store=store)
-        job = ScrutinyJob("CG", "T", sweep="segmented",
-                          snapshot_schedule="spill",
-                          spill_dir=str(tmp_path / "scratch"))
+        job = ScrutinyJob("CG", "T", execution=_segmented(
+            snapshot_schedule="spill", spill_dir=str(tmp_path / "scratch")))
         engine.run([job])
         assert store.fetch(**job.key_params()) is not None
         before = store.hits
@@ -148,14 +153,16 @@ class TestAnalyzerSchedule:
                                 spill_dir="/tmp/scratch")
 
     def test_run_job_surfaces_inapplicable_schedule(self):
+        # the job's config refuses the combination before anything runs
         with pytest.raises(ValueError, match="require sweep='segmented'"):
-            run_job(ScrutinyJob("CG", "T", snapshot_schedule="binomial"))
+            run_job(ScrutinyJob("CG", "T", execution=ExecutionConfig(
+                snapshot_schedule="binomial")))
 
     def test_analyzer_defaults(self):
-        analyzer = CriticalityAnalyzer()
-        assert analyzer.snapshot_schedule == "all"
-        assert analyzer.snapshot_budget is None
-        assert analyzer.spill_dir is None
+        execution = CriticalityAnalyzer().execution
+        assert execution.snapshot_schedule == "all"
+        assert execution.snapshot_budget is None
+        assert execution.spill_dir is None
 
 
 class TestRunnerSchedule:
@@ -207,7 +214,8 @@ class TestCliSchedule:
                       ["--spill-dir", "/tmp/scratch"]):
             with pytest.raises(SystemExit):
                 main([*flags, "analyze", "CG"])
-            assert "require --sweep segmented" in capsys.readouterr().err
+            assert "error: snapshot_schedule/snapshot_budget/spill_dir " \
+                "require sweep='segmented'\n" in capsys.readouterr().err
         # the explicit default is fine either way
         assert main(["--class", "T", "--snapshot-schedule", "all",
                      "analyze", "CG"]) == 0
@@ -217,17 +225,20 @@ class TestCliSchedule:
         with pytest.raises(SystemExit):
             main(["--sweep", "segmented", "--snapshot-schedule", "binomial",
                   "--snapshot-budget", "1", "analyze", "CG"])
-        assert "at least 2" in capsys.readouterr().err
+        assert "error: snapshot_budget must be at least 2\n" \
+            in capsys.readouterr().err
 
     def test_budget_and_spill_dir_require_their_schedules(self, capsys):
         with pytest.raises(SystemExit):
             main(["--sweep", "segmented", "--snapshot-schedule", "spill",
                   "--snapshot-budget", "8", "analyze", "CG"])
-        assert "--snapshot-budget requires" in capsys.readouterr().err
+        assert "error: snapshot_budget requires " \
+            "snapshot_schedule='binomial'\n" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["--sweep", "segmented", "--snapshot-schedule", "binomial",
                   "--spill-dir", "/tmp/scratch", "analyze", "CG"])
-        assert "--spill-dir requires" in capsys.readouterr().err
+        assert "error: spill_dir requires snapshot_schedule='spill'\n" \
+            in capsys.readouterr().err
 
     def test_analyze_runs_under_binomial(self, capsys):
         code = main(["--class", "T", "--sweep", "segmented",

@@ -14,26 +14,30 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.criticality import ExecutionConfig
 from repro.core.store import ResultStore, cache_key
 from repro.experiments.parallel import ParallelRunner, ScrutinyJob, run_job
 from repro.experiments.runner import ExperimentRunner
 
 
+SEGMENTED = ExecutionConfig(sweep="segmented")
+
+
 class TestScrutinyJobSweep:
     def test_sweep_defaults_to_monolithic(self):
         job = ScrutinyJob("CG", "T")
-        assert job.sweep == "monolithic"
-        assert job.key_params()["sweep"] == "monolithic"
+        assert job.execution.sweep == "monolithic"
+        assert job.key_params()["execution"].sweep == "monolithic"
 
     def test_jobs_differing_only_in_sweep_are_distinct(self):
         mono = ScrutinyJob("CG", "T")
-        seg = ScrutinyJob("CG", "T", sweep="segmented")
+        seg = ScrutinyJob("CG", "T", execution=SEGMENTED)
         assert mono != seg
         assert len({mono, seg}) == 2
 
     def test_run_job_segmented_matches_monolithic(self):
         mono = run_job(ScrutinyJob("FT", "T"))
-        seg = run_job(ScrutinyJob("FT", "T", sweep="segmented"))
+        seg = run_job(ScrutinyJob("FT", "T", execution=SEGMENTED))
         for name, crit in mono.variables.items():
             np.testing.assert_array_equal(crit.mask,
                                           seg.variables[name].mask)
@@ -43,25 +47,29 @@ class TestStoreSweepKey:
     PARAMS = dict(benchmark="CG", problem_class="T", method="ad", n_probes=1)
 
     def test_sweep_is_part_of_the_key(self):
-        mono = cache_key(**self.PARAMS, sweep="monolithic", version="1")
-        seg = cache_key(**self.PARAMS, sweep="segmented", version="1")
+        mono = cache_key(**self.PARAMS, execution=ExecutionConfig(),
+                         version="1")
+        seg = cache_key(**self.PARAMS, execution=SEGMENTED, version="1")
         assert mono != seg
 
     def test_default_sweep_key_is_monolithic(self):
         assert cache_key(**self.PARAMS, version="1") == \
-            cache_key(**self.PARAMS, sweep="monolithic", version="1")
+            cache_key(**self.PARAMS,
+                      execution=ExecutionConfig(sweep="monolithic"),
+                      version="1")
 
     def test_put_fetch_roundtrip_under_segmented_key(self, tmp_path):
         store = ResultStore(tmp_path)
-        result = run_job(ScrutinyJob("CG", "T", sweep="segmented"))
-        store.put(result, n_probes=1, sweep="segmented")
-        assert store.fetch(**self.PARAMS, sweep="segmented") is not None
-        assert store.fetch(**self.PARAMS, sweep="monolithic") is None
+        result = run_job(ScrutinyJob("CG", "T", execution=SEGMENTED))
+        store.put(result, n_probes=1, execution=SEGMENTED)
+        assert store.fetch(**self.PARAMS, execution=SEGMENTED) is not None
+        assert store.fetch(**self.PARAMS,
+                           execution=ExecutionConfig()) is None
 
     def test_parallel_runner_persists_under_job_sweep(self, tmp_path):
         store = ResultStore(tmp_path)
         engine = ParallelRunner(workers=1, store=store)
-        job = ScrutinyJob("CG", "T", sweep="segmented")
+        job = ScrutinyJob("CG", "T", execution=SEGMENTED)
         engine.run([job])
         assert store.fetch(**job.key_params()) is not None
         # a second run must be served from the store
