@@ -54,6 +54,12 @@ echo "== segmented activity: monolithic-vs-chained bitwise equivalence =="
 python -m pytest -q tests/ad/test_activity_sweep.py \
     tests/experiments/test_activity_plumbing.py
 
+echo "== NPB generator: exact stream vs sequential randlc =="
+python -m pytest -q tests/npb/test_common.py tests/npb/test_ep_is.py
+
+echo "== worker pool: parallel vs sequential =="
+python -m pytest -q benchmarks/test_parallel_scaling.py
+
 echo "== CLI smoke: segmented sweep, enlarged class A =="
 python -m repro.cli --class A --sweep segmented analyze CG >/dev/null
 

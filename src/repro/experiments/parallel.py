@@ -38,6 +38,7 @@ parallel-equivalence and chaos tests pin this down.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -157,8 +158,76 @@ def _guarded_run_job(job: ScrutinyJob, attempt: int,
 
 
 def default_workers() -> int:
-    """Worker count saturating the local machine (at least 1)."""
-    return max(1, os.cpu_count() or 1)
+    """Worker count saturating the CPUs this process may run on (>= 1).
+
+    Honours CPU affinity -- and with it cgroup cpusets and ``taskset`` --
+    where the platform reports it; ``os.cpu_count()`` counts every CPU of
+    the machine instead.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
+
+
+#: ``(setter, getter)`` thread-count symbols of OpenBLAS builds: numpy's
+#: bundled ``scipy_openblas`` (64-bit-integer interface) and plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> tuple[Callable, Callable] | None:
+    """``(set_num_threads, get_num_threads)`` of the loaded OpenBLAS.
+
+    Looks only at libraries already mapped into this process (numpy loads
+    its BLAS at import), so the calls reach the very thread pool numpy
+    uses.  ``None`` when no OpenBLAS is found, e.g. off Linux or with a
+    different BLAS vendor.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({fields[5].strip() for fields in
+                            (line.split(maxsplit=5) for line in maps)
+                            if len(fields) == 6 and "openblas" in
+                            os.path.basename(fields[5]).lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads = getattr(lib, setter)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                get_threads = getattr(lib, getter)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count (``None`` without OpenBLAS)."""
+    blas = _loaded_openblas()
+    return None if blas is None else int(blas[1]())
+
+
+def _init_worker(blas_budget: int) -> None:
+    """Pool-worker initializer: cap the inherited BLAS thread pool.
+
+    A forked worker inherits a BLAS pool sized for the whole machine, so
+    ``n`` workers would otherwise run ``n * cpus`` spinning BLAS threads.
+    """
+    blas = _loaded_openblas()
+    if blas is not None:
+        blas[0](blas_budget)
 
 
 def _pick_context() -> multiprocessing.context.BaseContext:
@@ -361,9 +430,7 @@ class ParallelRunner:
             try:
                 ctx = multiprocessing.get_context(self.mp_context) \
                     if self.mp_context else _pick_context()
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(jobs)),
-                    mp_context=ctx)
+                pool = self._new_pool(ctx, len(jobs))
             except (OSError, ValueError, ImportError, RuntimeError,
                     multiprocessing.ProcessError):
                 # no /dev/shm, sandboxed fork, missing start method, ...:
@@ -373,6 +440,19 @@ class ParallelRunner:
                 self._execute_pool(jobs, pool, ctx, emit)
                 return
         self._execute_inprocess(jobs, emit)
+
+    def _new_pool(self, ctx: multiprocessing.context.BaseContext,
+                  n_jobs: int) -> ProcessPoolExecutor:
+        """A pool of ``min(workers, n_jobs)`` processes sharing the CPUs.
+
+        Each worker gets ``default_workers() // pool_size`` BLAS threads
+        (at least one) -- the usable CPUs shared out over the pool -- so
+        the pool as a whole never oversubscribes the CPUs.
+        """
+        size = min(self.workers, n_jobs)
+        return ProcessPoolExecutor(
+            max_workers=size, mp_context=ctx, initializer=_init_worker,
+            initargs=(max(1, default_workers() // size),))
 
     # -- in-process ----------------------------------------------------
     def _execute_inprocess(self, jobs: Sequence[ScrutinyJob],
@@ -446,8 +526,7 @@ class ParallelRunner:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:  # pragma: no cover - best-effort teardown
                 pass
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(jobs)), mp_context=ctx)
+            pool = self._new_pool(ctx, len(jobs))
 
         def kill_workers() -> None:
             # there is no public API to abort a running future; terminating

@@ -5,8 +5,10 @@ ports rely on:
 
 * the NPB linear congruential pseudo-random number generator ``randlc``
   (x_{k+1} = a * x_k mod 2**46) including the exact double-double arithmetic
-  of the reference implementation, a vectorised ``vranlc`` and the
-  ``ipow46`` jump-ahead used by EP to seed independent batches;
+  of the reference implementation, the sequential ``vranlc`` and the
+  ``ipow46`` jump-ahead -- kept as the reference oracle -- and
+  :class:`RandlcStream`, which computes the same stream in exact ``uint64``
+  arithmetic for EP's batches;
 * root-mean-square norms in the style of the BT/SP/LU ``error_norm`` and
   ``rhs_norm`` routines, written against :mod:`repro.ad.ops` so they are
   differentiable when handed traced arrays;
@@ -46,6 +48,10 @@ DEFAULT_SEED = 314159265.0
 
 #: multiplier ``a = 5**13`` of the NPB generator
 LCG_MULTIPLIER = 1220703125.0
+
+# modulus of the generator and the matching low-bit mask, as integers
+_MOD46 = 2 ** 46
+_MASK46 = np.uint64(_MOD46 - 1)
 
 
 def randlc(x: float, a: float) -> tuple[float, float]:
@@ -114,43 +120,36 @@ def ipow46(a: float, exponent: int) -> float:
 
 
 class RandlcStream:
-    """Vectorised NPB random stream with jump-ahead.
+    """Vectorised NPB random stream with jump-ahead, in exact integers.
 
     The sequential recurrence ``x_{k+1} = a * x_k mod 2**46`` implies
-    ``x_k = (a**k mod 2**46) * x_0 mod 2**46``.  The constructor builds the
-    table ``a**k mod 2**46`` for ``k < block`` once (a single Python loop);
-    :meth:`uniforms` then produces any block of the stream with pure NumPy
-    arithmetic, using the same 23-bit split modular product as ``randlc`` so
-    results match the sequential reference exactly.
+    ``x_k = (a**k mod 2**46) * x_0 mod 2**46``.  Every value involved is an
+    integer below ``2**46`` and ``2**46`` divides ``2**64``, so the modular
+    product is a wrapping ``uint64`` multiply followed by a 46-bit mask:
+    exact, and bit-for-bit what the double-double split of ``randlc``
+    computes.  The constructor builds the table ``a**k mod 2**46`` for
+    ``k < block`` by doubling (``ceil(log2(block))`` vector steps, each
+    multiplying the filled prefix by ``a**filled``); :meth:`uniforms` then
+    produces any block of the stream with one multiply, one mask and one
+    scale to ``(0, 1)``.
     """
 
     def __init__(self, block: int, a: float = LCG_MULTIPLIER) -> None:
         if block < 1:
             raise ValueError("block size must be positive")
         self.block = int(block)
-        self.a = float(a)
-        powers = np.empty(self.block, dtype=np.float64)
-        powers[0] = 1.0
-        x = 1.0
-        for k in range(1, self.block):
-            _, x = randlc(x, a)
-            powers[k] = x
+        self.a = int(a)
+        powers = np.empty(self.block, dtype=np.uint64)
+        powers[0] = 1
+        filled = 1
+        while filled < self.block:
+            take = min(filled, self.block - filled)
+            chunk = powers[filled:filled + take]
+            np.multiply(powers[:take], np.uint64(pow(self.a, filled, _MOD46)),
+                        out=chunk)
+            np.bitwise_and(chunk, _MASK46, out=chunk)
+            filled += take
         self._powers = powers
-
-    @staticmethod
-    def _mod_mul(a: np.ndarray, x: float) -> np.ndarray:
-        """Vectorised ``a * x mod 2**46`` with the reference bit splitting."""
-        a = np.asarray(a, dtype=np.float64)
-        a1 = np.floor(R23 * a)
-        a2 = a - T23 * a1
-        x1 = float(int(R23 * x))
-        x2 = x - T23 * x1
-        t1 = a1 * x2 + a2 * x1
-        t2 = np.floor(R23 * t1)
-        z = t1 - T23 * t2
-        t3 = T23 * z + a2 * x2
-        t4 = np.floor(R46 * t3)
-        return t3 - T46 * t4
 
     def uniforms(self, seed_state: float, n: int | None = None) -> tuple[np.ndarray, float]:
         """Return ``n`` uniforms starting from ``seed_state``.
@@ -164,11 +163,14 @@ class RandlcStream:
         if n > self.block:
             raise ValueError(f"requested {n} numbers from a stream with "
                              f"block size {self.block}")
-        # x_k = a^k * seed mod 2**46 for k = 1..n
-        states = self._mod_mul(self._powers[:n], self._mod_mul(
-            np.array([self.a]), seed_state)[0])
+        # x_k = a^(k-1) * x_1 mod 2**46 for k = 1..n, x_1 = a * seed
+        first = self.a * int(seed_state) % _MOD46
+        states = np.multiply(self._powers[:n], np.uint64(first))
+        np.bitwise_and(states, _MASK46, out=states)
         new_state = float(states[-1]) if n > 0 else seed_state
-        return R46 * states, new_state
+        out = states.astype(np.float64)
+        out *= R46
+        return out, new_state
 
 
 # ---------------------------------------------------------------------------

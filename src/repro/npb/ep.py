@@ -24,7 +24,13 @@ cover the full 8-benchmark suite.
 
 The uniform stream is the exact NPB generator (:mod:`repro.npb.common`), so
 batches are bit-reproducible and restarting from a checkpoint continues the
-identical stream.
+identical stream.  Since every generator value is an integer below
+``2**46``, the stream is computed in exact integer arithmetic: each batch
+seed is one Python ``pow(a, offset, 2**46)`` and each batch one wrapping
+``uint64`` multiply and 46-bit mask against a precomputed ``a**k`` table
+(:class:`~repro.npb.common.RandlcStream`).  This is bit-for-bit the stream
+the reference ``randlc``/``ipow46`` double-double arithmetic produces; those
+functions remain the sequential oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.core.variables import CheckpointVariable, VariableKind
 
 from .base import NPBBenchmark, concrete_state
 from .common import (DEFAULT_SEED, LCG_MULTIPLIER, RandlcStream,
-                     VerificationResult, ipow46, randlc)
+                     VerificationResult)
 
 __all__ = ["EP"]
 
@@ -100,23 +106,22 @@ class EP(NPBBenchmark):
 
         Batch ``b`` starts after ``b * 2 * 2**nk`` draws; the jump-ahead
         computes ``a ** offset mod 2**46`` and multiplies it onto the seed,
-        exactly as the original does per parallel chunk.
+        exactly as the original does per parallel chunk (in Python integers
+        here, which equals the ``ipow46``/``randlc`` float path bit for bit).
         """
-        offset = batch * self._batch_draws
-        if offset == 0:
-            return DEFAULT_SEED
-        t = ipow46(LCG_MULTIPLIER, offset)
-        _, state = randlc(DEFAULT_SEED, t)
-        return state
+        t = pow(int(LCG_MULTIPLIER), batch * self._batch_draws, 2 ** 46)
+        return float(t * int(DEFAULT_SEED) % 2 ** 46)
 
     def _batch_sums(self, batch: int) -> tuple[float, float, np.ndarray]:
         """Gaussian sums and annulus counts contributed by one batch."""
         uniforms, _ = self._stream.uniforms(self._batch_seed(batch))
-        x = 2.0 * uniforms[0::2] - 1.0
-        y = 2.0 * uniforms[1::2] - 1.0
+        uniforms *= 2.0
+        uniforms -= 1.0
+        x = uniforms[0::2]
+        y = uniforms[1::2]
         t = x * x + y * y
-        accept = (t <= 1.0) & (t > 0.0)
-        xa, ya, ta = x[accept], y[accept], t[accept]
+        accept = np.flatnonzero((t <= 1.0) & (t > 0.0))
+        xa, ya, ta = x.take(accept), y.take(accept), t.take(accept)
         factor = np.sqrt(-2.0 * np.log(ta) / ta)
         gx = xa * factor
         gy = ya * factor

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import ScrutinyResult
+from repro.experiments import parallel
 from repro.experiments.parallel import (ParallelRunner, ScrutinyJob,
                                         default_workers, run_job)
 from repro.experiments.runner import ExperimentRunner
@@ -118,6 +119,35 @@ class TestFallbacks:
         with pytest.raises(KeyError):
             ParallelRunner(workers=workers).run(
                 [ScrutinyJob("CG", "T"), ScrutinyJob("NOPE", "T")])
+
+
+class TestCpuBudget:
+    def test_default_workers_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        assert default_workers() == 3
+
+    def test_default_workers_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 6)
+        assert default_workers() == 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_workers_get_a_blas_thread_budget(self, monkeypatch,
+                                                   workers):
+        if parallel.blas_threads() is None:
+            pytest.skip("no OpenBLAS get_num_threads symbol in this process")
+        # pretend to own 2 CPUs: each of the pool's workers gets 2 // size
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        engine = ParallelRunner(workers=workers)
+        pool = engine._new_pool(parallel._pick_context(), n_jobs=8)
+        try:
+            counts = {pool.submit(parallel.blas_threads).result()
+                      for _ in range(4)}
+        finally:
+            pool.shutdown()
+        assert counts == {2 // workers}
 
 
 class TestRunnerFanOut:

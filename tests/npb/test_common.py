@@ -83,6 +83,47 @@ class TestVranlcAndStream:
             common.RandlcStream(block=0)
 
 
+class TestExactStream:
+    """The integer :class:`RandlcStream` equals sequential ``vranlc``."""
+
+    def test_full_class_s_block(self):
+        # EP class S draws 2 * 2**16 uniforms per batch
+        block = 2 * 2 ** 16
+        got, got_state = common.RandlcStream(block).uniforms(
+            common.DEFAULT_SEED)
+        ref, ref_state = common.vranlc(block, common.DEFAULT_SEED,
+                                       common.LCG_MULTIPLIER)
+        np.testing.assert_array_equal(got, ref)
+        assert got_state == ref_state
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 15, 17, 127, 129, 1000,
+                                       1023, 1025])
+    def test_blocks_exercising_the_doubling_tail(self, block):
+        stream = common.RandlcStream(block)
+        assert stream._powers.dtype == np.uint64
+        expected = [pow(int(common.LCG_MULTIPLIER), k, 2 ** 46)
+                    for k in range(block)]
+        assert stream._powers.tolist() == expected
+        got, got_state = stream.uniforms(common.DEFAULT_SEED)
+        ref, ref_state = common.vranlc(block, common.DEFAULT_SEED,
+                                       common.LCG_MULTIPLIER)
+        np.testing.assert_array_equal(got, ref)
+        assert got_state == ref_state
+
+    @pytest.mark.parametrize("seed", [2.0 ** 46 - 1, 2.0 ** 46 - 2,
+                                      2.0 ** 46 - 12345, 2.0 ** 45 + 1])
+    def test_seeds_where_the_product_wraps(self, seed):
+        stream = common.RandlcStream(257)
+        got, got_state = stream.uniforms(seed)
+        ref, ref_state = common.vranlc(257, seed, common.LCG_MULTIPLIER)
+        np.testing.assert_array_equal(got, ref)
+        assert got_state == ref_state
+
+    def test_empty_request_keeps_the_state(self):
+        got, state = common.RandlcStream(4).uniforms(common.DEFAULT_SEED, 0)
+        assert got.size == 0 and state == common.DEFAULT_SEED
+
+
 class TestIpow46:
     def test_zero_exponent_is_identity(self):
         assert common.ipow46(common.LCG_MULTIPLIER, 0) == 1.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,53 @@ class TestEPBatches:
         n_accepted = counts.sum()
         assert abs(sx) < 10.0 * np.sqrt(n_accepted)
         assert abs(sy) < 10.0 * np.sqrt(n_accepted)
+
+
+#: SHA-256 over every batch of ``EP._batch_sums`` per problem class, taken
+#: from the float double-double generator before the stream moved to exact
+#: integer arithmetic: for each batch in order, the little-endian float64
+#: bytes of ``sx`` and ``sy`` followed by those of the ``q`` counts.
+BATCH_SUM_DIGESTS = {
+    "T": "969af3f4b442c17bf07bf7773d2491ff14386cdbf24459d917df2102f91ddd75",
+    "S": "fd320bbb38918291206864f780763381d5e1480839ce3c3841ea7ab31add7e63",
+    "A": "2a70aa97d47f73314943518b9feae6e444ea0db5fb3b05e34a8d4190ded07e43",
+}
+
+
+class TestEPExactStream:
+    """EP's integer stream is bitwise the reference ``randlc`` stream."""
+
+    @pytest.mark.parametrize("problem_class", ["T", "S"])
+    def test_batch_seeds_match_ipow46_jump_ahead(self, problem_class):
+        from repro.npb.common import (DEFAULT_SEED, LCG_MULTIPLIER, ipow46,
+                                      randlc)
+
+        bench = EP(problem_class=problem_class)
+        for batch in range(64):
+            offset = batch * bench._batch_draws
+            if offset == 0:
+                expected = DEFAULT_SEED
+            else:
+                _, expected = randlc(DEFAULT_SEED,
+                                     ipow46(LCG_MULTIPLIER, offset))
+            assert bench._batch_seed(batch) == expected
+
+    @pytest.mark.parametrize("problem_class", sorted(BATCH_SUM_DIGESTS))
+    def test_batch_sums_digest(self, problem_class):
+        """Every batch's sums and counts, bit for bit.
+
+        The digests were generated with the pre-integer implementation (the
+        double-double ``_mod_mul`` stream, ``ipow46`` seeds and boolean-mask
+        compression) by hashing exactly as below over
+        ``range(params.n_batches)``.
+        """
+        bench = EP(problem_class=problem_class)
+        digest = hashlib.sha256()
+        for batch in range(bench.params.n_batches):
+            sx, sy, counts = bench._batch_sums(batch)
+            digest.update(struct.pack("<dd", sx, sy))
+            digest.update(np.ascontiguousarray(counts, dtype="<f8").tobytes())
+        assert digest.hexdigest() == BATCH_SUM_DIGESTS[problem_class]
 
 
 class TestEPDynamics:
