@@ -13,14 +13,13 @@ Two regimes are pinned separately:
   overhead dominates the numpy work, which is the regime the batched sweep
   amortises -- four probes must complete within **2x** the single-probe
   wall-clock (the per-probe loop pays ~4x);
-* **array-bound** (class S rows): the 1400^2 matvecs (CG) and 2 MB
-  spectral fields (FT) make the numpy FLOPs/bandwidth dominate, and four
-  probes are four times the arithmetic no matter how they are scheduled --
-  here the batched sweep must still *beat the loop it replaces* (on CG the
-  multi-RHS GEMM reads the matrix once for all probes, ~1.4-1.9x faster
-  than the loop; on FT the win narrows to dispatch amortisation), and a 4x
-  regression cap guards against the batched path ever costing more than
-  the naive loop's asymptote.
+* **array-bound** (class S rows): the sparse matvecs (CG: 1400 rows of
+  15 gathered entries, 26 per solve) and 2 MB spectral fields (FT)
+  make the numpy work dominate, and four probes are four times the
+  arithmetic no matter how they are scheduled -- here the batched sweep
+  must still *beat the loop it replaces* (the win is dispatch and
+  recording amortisation), and a 4x regression cap guards against the
+  batched path ever costing more than the naive loop's asymptote.
 
 In both regimes the masks must be identical between the two paths.  The
 module is also runnable standalone to emit the ``BENCH_probes.json`` perf

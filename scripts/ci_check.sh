@@ -57,6 +57,9 @@ python -m pytest -q tests/ad/test_activity_sweep.py \
 echo "== NPB generator: exact stream vs sequential randlc =="
 python -m pytest -q tests/npb/test_common.py tests/npb/test_ep_is.py
 
+echo "== CG sparse operator + gather/scatter parity =="
+python -m pytest -q tests/npb/test_cg.py tests/ad/test_gather_scatter.py
+
 echo "== worker pool: parallel vs sequential =="
 python -m pytest -q benchmarks/test_parallel_scaling.py
 

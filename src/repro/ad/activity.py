@@ -136,7 +136,7 @@ INDEXING_OPS = frozenset({"getitem", "take"})
 SPEC_CONSUMING = frozenset({
     "ewbinary", "minmax", "unary", "negative",
     "sum", "mean", "redminmax", "prod", "where",
-    "matmul", "matmul_probe", "matmul_multirhs", "concat", "stack",
+    "matmul", "matmul_probe", "concat", "stack",
 })
 
 #: spec kinds that only move data around

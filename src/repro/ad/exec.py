@@ -253,20 +253,22 @@ def _emit_prod(spec: tuple, node: Instr) -> Callable:
 
 
 def _emit_getitem(spec: tuple, node: Instr) -> Callable:
+    ops = _ops_mod()
     _, idx, advanced, contig, in_shape = spec
+    gather = ops._gather
+    if advanced:
+        # the scatter positions depend on the spec alone: computed once
+        pos = ops._scatter_positions(in_shape, idx)
+        scatter = ops._scatter_add
 
     def kernel(vals: list) -> tuple:
-        av = vals[0]
-        out = av[idx]
-        if contig:
-            out = np.ascontiguousarray(out)
+        out = gather(vals[0], idx, contig)
 
         def vjp(g: np.ndarray) -> tuple:
-            grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
             if advanced:
-                np.add.at(grad, idx, g)
-            else:
-                grad[idx] += g
+                return (scatter(pos, g, in_shape),)
+            grad = np.zeros(in_shape, dtype=np.result_type(g, np.float64))
+            grad[idx] += g
             return (grad,)
 
         return out, vjp
@@ -453,21 +455,6 @@ def _emit_matmul_probe(spec: tuple, node: Instr) -> Callable:
                 grads.append(keep_probe(gb, bv_m.shape,
                                         True).reshape(bv.shape))
             return tuple(grads)
-
-        return out, vjp
-
-    return kernel
-
-
-def _emit_matmul_multirhs(spec: tuple, node: Instr) -> Callable:
-    _, a_const = spec
-    a_t = np.swapaxes(a_const, -1, -2)
-
-    def kernel(vals: list) -> tuple:
-        out = np.matmul(vals[0], a_t)
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.matmul(np.asarray(g), a_const),)
 
         return out, vjp
 
@@ -730,7 +717,6 @@ _EMITTERS: dict[str, Callable] = {
     "where": _emit_where,
     "matmul": _emit_matmul,
     "matmul_probe": _emit_matmul_probe,
-    "matmul_multirhs": _emit_matmul_multirhs,
     "reshape": _emit_reshape,
     "transpose": _emit_transpose,
     "swapaxes": _emit_swapaxes,
@@ -927,39 +913,28 @@ def _spec_mean(spec: tuple, node: Instr) -> Callable | None:
 
 
 def _spec_getitem(spec: tuple, node: Instr) -> Callable | None:
-    _, idx, advanced, contig, in_shape = spec
-    if np.dtype(node.dtype) != np.float64:
+    _, idx, advanced, _contig, in_shape = spec
+    if advanced or np.dtype(node.dtype) != np.float64:
         return None
     buf = np.zeros(in_shape, dtype=np.float64)
-    if advanced:
+    # basic indexing scatters into exactly this view; the region outside
+    # it was zeroed at emit time and is never written, so a single ufunc
+    # call reproduces fill+scatter-add (g + 0.0 carries the same bits as
+    # 0.0 + g, -0.0 and NaN payloads included)
+    view = buf[idx]
+    if isinstance(view, np.ndarray) and np.shares_memory(view, buf):
         def vjp(g: np.ndarray) -> tuple:
-            # zero-fill + scatter into the retained buffer: the bits of a
-            # fresh np.zeros scatter, without the per-replay allocation
-            buf.fill(0.0)
-            np.add.at(buf, idx, g)
+            np.add(g, 0.0, out=view)
             return (buf,)
     else:
-        # basic indexing scatters into exactly this view; the region
-        # outside it was zeroed at emit time and is never written, so a
-        # single ufunc call reproduces fill+scatter-add (g + 0.0 carries
-        # the same bits as 0.0 + g, -0.0 and NaN payloads included)
-        view = buf[idx]
-        if isinstance(view, np.ndarray) and np.shares_memory(view, buf):
-            def vjp(g: np.ndarray) -> tuple:
-                np.add(g, 0.0, out=view)
-                return (buf,)
-        else:
-            # a scalar selection yields no writable view
-            def vjp(g: np.ndarray) -> tuple:
-                buf.fill(0.0)
-                buf[idx] += g
-                return (buf,)
+        # a scalar selection yields no writable view
+        def vjp(g: np.ndarray) -> tuple:
+            buf.fill(0.0)
+            buf[idx] += g
+            return (buf,)
 
     def kernel(vals: list) -> tuple:
-        out = vals[0][idx]
-        if contig:
-            out = np.ascontiguousarray(out)
-        return out, vjp
+        return vals[0][idx], vjp
 
     return kernel
 
@@ -988,27 +963,6 @@ def _spec_index_update(spec: tuple, node: Instr) -> Callable | None:
         out = np.array(vals[0], copy=True)
         out[idx] = vals[1] if b_tr else _b_const
         return out, vjp
-
-    return kernel
-
-
-def _spec_matmul(spec: tuple, node: Instr, ir: PlanIR) -> Callable | None:
-    _, a_tr, b_tr, a_const, _b_const = spec
-    if a_tr or not b_tr:
-        return None
-    av = np.asarray(a_const)
-    b_sh = tuple(ir.instrs[node.parents[0]].shape)
-    if av.ndim != 2 or len(b_sh) != 1 or b_sh != (av.shape[1],) \
-            or np.dtype(node.dtype) != np.float64:
-        return None
-    a_t = np.swapaxes(av, -1, -2)   # transpose once at emit time (a view)
-
-    def vjp(g: np.ndarray) -> tuple:
-        # same gemv as _matmul_grad_b's expand/matmul/squeeze path
-        return (np.matmul(a_t, np.asarray(g)[..., None])[..., 0],)
-
-    def kernel(vals: list) -> tuple:
-        return np.matmul(av, vals[0]), vjp
 
     return kernel
 
@@ -1052,7 +1006,6 @@ _SPECIALIZED: dict[str, Callable] = {
     "mean": lambda spec, node, ir: _spec_mean(spec, node),
     "getitem": lambda spec, node, ir: _spec_getitem(spec, node),
     "index_update": lambda spec, node, ir: _spec_index_update(spec, node),
-    "matmul": _spec_matmul,
     "matmul_probe": _spec_matmul_probe,
 }
 

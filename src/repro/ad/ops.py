@@ -24,6 +24,7 @@ the ``_record`` pattern below.
 from __future__ import annotations
 
 import builtins
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -558,9 +559,10 @@ def _elementwise_binary(op: str, a: Any, b: Any,
     if _any_tangent(a, b):
         return _tangent_ew_binary(a, b, compute, grad_a, grad_b)
     av0, bv0 = value_of(a), value_of(b)
+    a_tr, b_tr = _is_traced(a), _is_traced(b)
     nb = _probe_batch(a, b)
     if nb is not None:
-        av, bv = _probe_align(nb, (av0, _is_traced(a)), (bv0, _is_traced(b)))
+        av, bv = _probe_align(nb, (av0, a_tr), (bv0, b_tr))
     else:
         av, bv = av0, bv0
     out = compute(av, bv)
@@ -568,21 +570,28 @@ def _elementwise_binary(op: str, a: Any, b: Any,
     a_shape, b_shape = np.shape(av0), np.shape(bv0)
     a_lift, b_lift = np.shape(av), np.shape(bv)
 
+    # the closure holds values, never the operand wrappers: a multiply
+    # cotangent reads only the other side's value, so the side no computed
+    # cotangent reads is dropped and the tape does not keep it alive (a
+    # constant times a gathered vector holds no gather)
+    ga_v, gb_v = av, bv
+    if op == "multiply":
+        ga_v, gb_v = (av if b_tr else None), (bv if a_tr else None)
+
     def vjp(g: np.ndarray) -> tuple:
         grads = []
-        if _is_traced(a):
+        if a_tr:
             grads.append(_probe_restore(
-                _unbroadcast(grad_a(g, av, bv), a_lift), a_shape))
-        if _is_traced(b):
+                _unbroadcast(grad_a(g, ga_v, gb_v), a_lift), a_shape))
+        if b_tr:
             grads.append(_probe_restore(
-                _unbroadcast(grad_b(g, av, bv), b_lift), b_shape))
+                _unbroadcast(grad_b(g, ga_v, gb_v), b_lift), b_shape))
         return tuple(grads)
 
     spec = None
     if _CAPTURE.capture is not None and op in EW_BINARY_RULES:
-        spec = ("ewbinary", op, _is_traced(a), _is_traced(b),
-                None if _is_traced(a) else av,
-                None if _is_traced(b) else bv,
+        spec = ("ewbinary", op, a_tr, b_tr,
+                None if a_tr else av, None if b_tr else bv,
                 a_shape, b_shape, a_lift, b_lift)
     return _record(op, out, parents, vjp, spec=spec)
 
@@ -872,14 +881,15 @@ def sum(a: Any, axis=None, keepdims: bool = False) -> Any:
     axis = _probe_reduce_axis(axis, av.ndim, _probe_batch(a))
     out = np.sum(av, axis=axis, keepdims=keepdims)
     parents = _traced_parents(a)
+    in_shape = av.shape     # the closure must not keep the input alive
 
     def vjp(g: np.ndarray) -> tuple:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(g, av.shape).copy(),)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
-    spec = ("sum", axis, keepdims, av.shape) \
+    spec = ("sum", axis, keepdims, in_shape) \
         if _CAPTURE.capture is not None else None
     return _record("sum", out, parents, vjp, spec=spec)
 
@@ -1380,6 +1390,59 @@ def _is_advanced(index: Any) -> bool:
     return False
 
 
+def _gather(av: np.ndarray, idx: Any, contig: bool) -> np.ndarray:
+    """``av[idx]``, copied to C order when ``contig``.
+
+    Under a probe axis numpy places the advanced-index subspace before the
+    leading slices in memory; C order lays every probe row out exactly like
+    the unbatched gather, so downstream reductions sum in the same order.
+    Full slices followed by one integer array -- every batched gather by
+    an index array -- is ``np.take`` on that axis: the same values and
+    layout without the transposed intermediate.
+    """
+    last = idx[-1] if isinstance(idx, tuple) and idx else None
+    if contig and isinstance(last, np.ndarray) and last.dtype.kind in "iu" \
+            and builtins.all(isinstance(s, slice) and s == slice(None)
+                             for s in idx[:-1]):
+        return np.take(av, last, axis=len(idx) - 1)
+    out = av[idx]
+    return np.ascontiguousarray(out) if contig else out
+
+
+def _scatter_positions(shape: tuple, idx: Any) -> np.ndarray:
+    """Flat positions of ``zeros(shape)[idx]``, in the gather's shape."""
+    if len(shape) == 1 and isinstance(idx, np.ndarray) \
+            and idx.dtype == np.intp and np.all(idx >= 0):
+        return idx      # a 1-D gather's positions are its own indices
+    return _gather(np.arange(math.prod(shape), dtype=np.intp).reshape(shape),
+                   idx, True)
+
+
+def _scatter_add(pos: np.ndarray, g: Any, shape: tuple) -> np.ndarray:
+    """``np.add.at(zeros(shape), idx, g)`` over precomputed positions.
+
+    A float64 scatter is one ``np.bincount``: it adds the weights into
+    zeros in input (C) order, the order ``np.add.at`` walks the index in,
+    so every element gets the same additions in the same order -- the
+    same bits, -0.0, NaN and overflow included.  The one exception is
+    where two NaNs of opposite sign meet (``inf - inf`` gives a negative
+    NaN): IEEE 754 leaves the sum's sign open and the two loops keep
+    different operands'.  Other dtypes and empty scatters take
+    ``np.add.at`` (``bincount`` has no complex weights, and returns
+    integers when empty).
+    """
+    g = np.asarray(g)
+    if g.shape != pos.shape:
+        g = np.broadcast_to(g, pos.shape)
+    size = math.prod(shape)
+    if g.dtype == np.float64 and pos.size:
+        return np.bincount(pos.ravel(), weights=g.ravel(),
+                           minlength=size).reshape(shape)
+    grad = np.zeros(size, dtype=np.result_type(g, np.float64))
+    np.add.at(grad, pos.ravel(), g.ravel())
+    return grad.reshape(shape)
+
+
 def getitem(a: Any, index: Any) -> Any:
     """Differentiable ``a[index]`` (basic slicing or advanced indexing).
 
@@ -1390,37 +1453,26 @@ def getitem(a: Any, index: Any) -> Any:
     if isinstance(a, TangentArray):
         av, ta = a.value, a.tangent
         idx = _index_values(index)
-        out = av[idx]
-        dt = ta[_probe_index(idx, ta.shape[0])]
-        if _is_advanced(idx):
-            # restore C order after the advanced gather (see the batched
-            # reverse path below) so per-direction reduction orders match
-            dt = np.ascontiguousarray(dt)
-        return TangentArray(out, dt)
+        dt = _gather(ta, _probe_index(idx, ta.shape[0]), _is_advanced(idx))
+        return TangentArray(av[idx], dt)
     av = value_of(a)
     idx = _index_values(index)
     nb = _probe_batch(a)
     full_idx = _probe_index(idx, nb)
-    out = av[full_idx]
-    if nb is not None and _is_advanced(idx):
-        # numpy places the advanced-index subspace before the probe slice in
-        # memory; restore C order so every probe row is laid out exactly
-        # like the unbatched gather (downstream reductions then use the
-        # same summation order, keeping probe slices bitwise faithful)
-        out = np.ascontiguousarray(out)
-    parents = _traced_parents(a)
     advanced = _is_advanced(idx)
+    contig = nb is not None and advanced
+    out = _gather(av, full_idx, contig)
+    parents = _traced_parents(a)
 
     def vjp(g: np.ndarray) -> tuple:
-        grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
         if advanced:
-            np.add.at(grad, full_idx, g)
-        else:
-            grad[full_idx] += g
+            return (_scatter_add(_scatter_positions(av.shape, full_idx), g,
+                                 av.shape),)
+        grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
+        grad[full_idx] += g
         return (grad,)
 
-    spec = ("getitem", full_idx, advanced,
-            nb is not None and advanced, av.shape) \
+    spec = ("getitem", full_idx, advanced, contig, av.shape) \
         if _CAPTURE.capture is not None else None
     return _record("getitem", out, parents, vjp, meta={"index": idx},
                    spec=spec)
@@ -1438,63 +1490,36 @@ def take(a: Any, indices: Any, axis=None) -> Any:
             dt = dt.reshape((nd,) + np.shape(out))
         else:
             ax1 = _probe_shift_axis(axis, nd)
-            dt = np.ascontiguousarray(
-                ta[(slice(None),) * ax1 + (np.asarray(idx),)])
+            dt = _gather(ta, (slice(None),) * ax1 + (np.asarray(idx),), True)
         return TangentArray(out, dt)
     av = value_of(a)
-    idx = _index_values(indices)
+    idx = np.asarray(_index_values(indices))
     nb = _probe_batch(a)
-    if nb is not None:
-        if axis is None:
-            # numpy's axis=None takes from the flattened array; per probe
-            # that means taking from each flattened probe slice
-            flat = av.reshape(av.shape[0], -1)
-            out = np.take(flat, idx, axis=1)
-            parents = _traced_parents(a)
-
-            def vjp_flat(g: np.ndarray) -> tuple:
-                grad = np.zeros(av.shape,
-                                dtype=np.result_type(g, np.float64))
-                gflat = grad.reshape(grad.shape[0], -1)
-                np.add.at(gflat, (slice(None),
-                                  np.asarray(idx).reshape(-1)),
-                          np.asarray(g).reshape(g.shape[0] if np.ndim(g)
-                                                else 1, -1))
-                return (grad,)
-
-            return _record("take", out, parents, vjp_flat,
-                           meta={"indices": np.asarray(idx), "axis": axis})
+    if nb is not None and axis is None:
+        # numpy's axis=None takes from the flattened array; per probe
+        # that means taking from each flattened probe slice
+        src_shape = (av.shape[0], -1)
+        take_idx = (slice(None), idx)
+        out = np.take(av.reshape(src_shape), idx, axis=1)
+    elif nb is not None:
         # a single advanced index at `axis` is exactly np.take(..., axis)
-        ax1 = _probe_shift_axis(axis, nb)
-        take_idx = (slice(None),) * ax1 + (np.asarray(idx),)
-        out = np.ascontiguousarray(av[take_idx])
-        parents = _traced_parents(a)
-
-        def vjp_axis(g: np.ndarray) -> tuple:
-            grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
-            np.add.at(grad, take_idx, g)
-            return (grad,)
-
-        return _record("take", out, parents, vjp_axis,
-                       meta={"indices": np.asarray(idx), "axis": axis})
-    out = np.take(av, idx, axis=axis)
+        src_shape = av.shape
+        take_idx = (slice(None),) * _probe_shift_axis(axis, nb) + (idx,)
+        out = _gather(av, take_idx, True)
+    else:
+        src_shape = (-1,) if axis is None else av.shape
+        take_idx = idx if axis is None \
+            else (slice(None),) * (axis % av.ndim) + (idx,)
+        out = np.take(av, idx, axis=axis)
     parents = _traced_parents(a)
 
     def vjp(g: np.ndarray) -> tuple:
-        grad = np.zeros(av.shape, dtype=np.result_type(g, np.float64))
-        if axis is None:
-            np.add.at(grad.reshape(-1), np.asarray(idx).reshape(-1),
-                      np.asarray(g).reshape(-1))
-        else:
-            grad_moved = np.moveaxis(grad, axis, 0)
-            g_moved = np.moveaxis(np.asarray(g), axis, 0) \
-                if np.ndim(idx) > 0 else np.asarray(g)[None]
-            np.add.at(grad_moved, np.asarray(idx).reshape(-1),
-                      g_moved.reshape((-1,) + grad_moved.shape[1:]))
-        return (grad,)
+        src = av.reshape(src_shape)
+        pos = _scatter_positions(src.shape, take_idx)
+        return (_scatter_add(pos, g, src.shape).reshape(av.shape),)
 
     return _record("take", out, parents, vjp,
-                   meta={"indices": np.asarray(idx), "axis": axis})
+                   meta={"indices": idx, "axis": axis})
 
 
 def _index_roles(a: Any, b: Any) -> tuple[str, ...]:
@@ -1744,8 +1769,6 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
     lb = bv.ndim - 1 if _is_traced(b) else bv.ndim
     if la == 0 or lb == 0:
         raise ProbeBatchingError("matmul operands must be at least 1-D")
-    if la == 2 and lb == 1 and not _is_traced(a) and _is_traced(b):
-        return _probe_matvec_multirhs(a, av, b, bv)
     av_m = av[..., None, :] if la == 1 else av
     bv_m = bv[..., :, None] if lb == 1 else bv
     out_m = np.matmul(av_m, bv_m)
@@ -1785,30 +1808,6 @@ def _probe_matmul(a: Any, b: Any, nb: int) -> Any:
         spec = ("matmul_probe", _is_traced(a), _is_traced(b),
                 None if _is_traced(a) else av,
                 None if _is_traced(b) else bv, la, lb)
-    return _record("matmul", out, parents, vjp, spec=spec)
-
-
-def _probe_matvec_multirhs(a: Any, av: np.ndarray, b: Any,
-                           bv: np.ndarray) -> Any:
-    """Plain matrix times a batch of probe vectors as one multi-RHS GEMM.
-
-    ``A @ v`` per probe equals one GEMM with the probe vectors as rows
-    (``out[p] = (bv @ A^T)[p]``), which reads the constant matrix once for
-    *all* probes instead of once per probe -- the dominant win for
-    memory-bound matvec kernels (CG's 1400x1400 solves).  The GEMM regroups
-    each dot product's accumulation, so nonzero gradient values may differ
-    from the per-probe gemv by ~1 ulp; criticality masks are unaffected
-    because structural zeros are never touched by any arithmetic (their
-    cotangent buffers simply stay unwritten in both formulations).
-    """
-    out = np.matmul(bv, np.swapaxes(av, -1, -2))
-    parents = _traced_parents(a, b)
-
-    def vjp(g: np.ndarray) -> tuple:
-        # d out[p, i] / d bv[p, k] = av[i, k]  ->  gb = g @ av
-        return (np.matmul(np.asarray(g), av),)
-
-    spec = ("matmul_multirhs", av) if _CAPTURE.capture is not None else None
     return _record("matmul", out, parents, vjp, spec=spec)
 
 

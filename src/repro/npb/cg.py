@@ -21,7 +21,10 @@ The class-S sparse matrix of the original is generated by ``makea`` from the
 problem parameters with the same structural properties (symmetric positive
 definite, ``nonzer`` off-diagonal couplings per row plus a diagonal shift),
 built once in the constructor -- it is not application state and therefore
-not a checkpoint variable, exactly as in the original.
+not a checkpoint variable, exactly as in the original.  It is stored in
+ELLPACK form, the fixed-width analogue of NPB's CSR arrays (``colidx``,
+``a``): every matrix-vector product is one gather, one multiply and one
+row reduction, with no ``na x na`` array anywhere.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class CG(NPBBenchmark):
         from .params import params_for
 
         super().__init__(params or params_for("CG", problem_class))
-        self._matrix = self._make_matrix()
+        self._cols, self._vals = self._make_matrix()
         self._reference: dict[str, float] | None = None
 
     # ------------------------------------------------------------------
@@ -70,29 +73,36 @@ class CG(NPBBenchmark):
     # ------------------------------------------------------------------
     # constant data
     # ------------------------------------------------------------------
-    def _make_matrix(self) -> np.ndarray:
-        """Deterministic SPD matrix with ``nonzer`` couplings per row.
+    def _make_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic SPD band matrix with ``nonzer`` couplings per row.
 
         Stands in for the original ``makea``: a banded-plus-random sparse
         symmetric matrix, made strictly diagonally dominant so the embedded
-        conjugate-gradient solves converge quickly.  Stored dense because
-        class S (n = 1400) is tiny; the access pattern the criticality
-        analysis cares about -- "the first NA entries of ``x`` are read, the
-        last two never" -- is unaffected by the storage format.
+        conjugate-gradient solves converge quickly.  Returned in ELLPACK
+        form: ``cols``/``vals`` of shape ``(na, 2 * nonzer + 1)``, row ``i``
+        holding columns ``i - nonzer .. i + nonzer`` with the diagonal in
+        the middle slot.  Slots that fall outside the matrix point at the
+        row's own column and hold 0.0.  The couplings are drawn from one
+        seeded stream, offset by offset; each draw fills the pair
+        ``(i, i + offset)`` and ``(i + offset, i)``.
         """
         n = self.params.na
         nonzer = self.params.nonzer
         rng = np.random.default_rng(19940704)
-        a = np.zeros((n, n), dtype=np.float64)
+        rows = np.arange(n)[:, None]
+        band = rows + np.arange(-nonzer, nonzer + 1)
+        vals = np.zeros(band.shape, dtype=np.float64)
         for offset in range(1, nonzer + 1):
             coupling = 0.5 ** offset
-            idx = np.arange(n - offset)
             values = coupling * (0.5 + rng.random(n - offset))
-            a[idx, idx + offset] = values
-            a[idx + offset, idx] = values
-        row_sums = np.abs(a).sum(axis=1)
-        a[np.arange(n), np.arange(n)] = row_sums + self.params.shift
-        return a
+            vals[:n - offset, nonzer + offset] = values     # (i, i + offset)
+            vals[offset:, nonzer - offset] = values         # (i + offset, i)
+        vals[:, nonzer] = np.abs(vals).sum(axis=1) + self.params.shift
+        return np.where((band < 0) | (band >= n), rows, band), vals
+
+    def _matvec(self, p: Any) -> Any:
+        """``A @ p`` on the ELLPACK arrays: gather, multiply, row sums."""
+        return ops.sum(self._vals * p[self._cols], axis=1)
 
     # ------------------------------------------------------------------
     # state construction
@@ -114,13 +124,12 @@ class CG(NPBBenchmark):
         against :mod:`repro.ad.ops` so the whole solve is differentiable with
         respect to the right-hand side ``x_used``.
         """
-        a = self._matrix
         z = ops.zeros(self.params.na)
         r = ops.copy(x_used)
         p = ops.copy(x_used)
         rho = ops.sum(ops.square(r))
         for _ in range(self.params.cgit):
-            q = ops.matmul(a, p)
+            q = self._matvec(p)
             alpha = rho / ops.sum(p * q)
             z = z + alpha * p
             r = r - alpha * q
@@ -128,7 +137,7 @@ class CG(NPBBenchmark):
             beta = rho_new / rho
             p = r + beta * p
             rho = rho_new
-        resid = x_used - ops.matmul(a, z)
+        resid = x_used - self._matvec(z)
         rnorm = ops.sqrt(ops.sum(ops.square(resid)))
         return z, rnorm
 

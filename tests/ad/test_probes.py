@@ -3,12 +3,8 @@
 The acceptance bar mirrors the segmented sweep's: the batched probe axis
 must reproduce the per-probe gradients *bitwise* (not just the masks) in
 both the monolithic and the segmented sweep, because the criticality
-criterion is "derivative exactly 0.0".  The one sanctioned exception is
-the multi-RHS matvec shortcut (plain matrix @ probe vectors as a single
-GEMM, exercised by CG): its regrouped accumulation may move nonzero values
-by a few ulps, so there the pin is exact-zero-pattern identity -- the mask
-criterion itself -- plus ulp-level closeness.  Masks are asserted identical
-for every port either way.
+criterion is "derivative exactly 0.0".  Every port's gradients are pinned
+bitwise, and its masks identical.
 """
 
 from __future__ import annotations
@@ -64,12 +60,10 @@ def _assert_bitwise(a, b, label):
 def _assert_same_criticality(a, b, label):
     """Identical zero pattern (the mask criterion) plus ~ulp closeness.
 
-    Used where the batched path takes the multi-RHS GEMM shortcut for
-    plain-matrix @ probe-vector products (CG's matvecs): the GEMM regroups
-    each dot product's accumulation, so nonzero values may differ from the
-    per-probe gemv by a few ulps, while structural zeros -- the criticality
-    signal -- stay exactly 0.0 in both formulations (their buffers are
-    never touched by arithmetic).
+    The pin of the plain-matrix @ probe-vector product: a batched matmul
+    may regroup each dot product's accumulation, so nonzero values may
+    differ from the per-probe gemv by a few ulps, while structural zeros --
+    the criticality signal -- stay exactly 0.0 in both formulations.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -78,18 +72,6 @@ def _assert_same_criticality(a, b, label):
         f"{label}: zero patterns (criticality masks) differ"
     assert np.allclose(a, b, rtol=1.0e-7, atol=0.0), \
         f"{label}: gradients differ beyond accumulation-order noise"
-
-
-#: ports whose kernels hit the multi-RHS matvec shortcut (see above);
-#: every other port's batched gradients are pinned bitwise
-MULTIRHS_PORTS = frozenset({"CG"})
-
-
-def _assert_grads_match(name, a, b, label):
-    if name in MULTIRHS_PORTS:
-        _assert_same_criticality(a, b, label)
-    else:
-        _assert_bitwise(a, b, label)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +134,7 @@ def _medley(x, y, mat):
     """Exercises every probe-sensitive primitive family in one function.
 
     The traced-matrix matmul keeps the medley on the bitwise (stacked)
-    path; the multi-RHS matvec shortcut has its own dedicated test.
+    path; plain matrix @ probe vector has its own dedicated test.
     """
     g = x[1:5] * 2.0                                # basic getitem
     h = ops.reshape(g, (2, 2))                       # reshape
@@ -333,8 +315,8 @@ def test_batched_gradients_bitwise_equal_per_probe(name):
     for key in watch:
         assert stacked[key].shape == (3,) + np.shape(states[0][key])
         for p in range(3):
-            _assert_grads_match(name, per[p][key], stacked[key][p],
-                                f"{name}[{key}] probe {p} (monolithic)")
+            _assert_bitwise(per[p][key], stacked[key][p],
+                            f"{name}[{key}] probe {p} (monolithic)")
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -348,8 +330,8 @@ def test_segmented_batched_gradients_bitwise_equal_per_probe(name):
     stacked = segmented_batched_gradients(bench, states, watch=watch)
     for key in watch:
         for p in range(2):
-            _assert_grads_match(name, per[p][key], stacked[key][p],
-                                f"{name}[{key}] probe {p} (segmented)")
+            _assert_bitwise(per[p][key], stacked[key][p],
+                            f"{name}[{key}] probe {p} (segmented)")
 
 
 def test_segmented_batched_peak_tape_is_one_batched_iteration():
@@ -396,9 +378,8 @@ def test_masks_identical_batched_vs_per_probe(name, sweep):
         assert np.array_equal(crit.mask, ref.mask), \
             f"{name}({var_name}) mask differs between probe modes ({sweep})"
         for key in crit.gradients:
-            _assert_grads_match(name, crit.gradients[key],
-                                ref.gradients[key],
-                                f"{name}({var_name})[{key}] base gradient")
+            _assert_bitwise(crit.gradients[key], ref.gradients[key],
+                            f"{name}({var_name})[{key}] base gradient")
 
 
 def test_analyzer_falls_back_without_probe_api(recwarn):
