@@ -60,6 +60,10 @@ python -m pytest -q tests/npb/test_common.py tests/npb/test_ep_is.py
 echo "== CG sparse operator + gather/scatter parity =="
 python -m pytest -q tests/npb/test_cg.py tests/ad/test_gather_scatter.py
 
+echo "== NPB axis operators + EP batch cache: bitwise parity =="
+python -m pytest -q tests/npb/test_along_axis.py \
+    tests/npb/test_ep_is.py::TestEPBatchCache
+
 echo "== worker pool: parallel vs sequential =="
 python -m pytest -q benchmarks/test_parallel_scaling.py
 

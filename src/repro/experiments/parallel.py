@@ -39,6 +39,7 @@ parallel-equivalence and chaos tests pin this down.
 from __future__ import annotations
 
 import ctypes
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -437,7 +438,15 @@ class ParallelRunner:
                 # degrade to the in-process path, which is always available
                 pool = None
             if pool is not None:
-                self._execute_pool(jobs, pool, ctx, emit)
+                # workers fork lazily, on the first submit and on respawns:
+                # with this process's objects frozen, a forked worker's
+                # collections skip the inherited heap instead of walking
+                # (and copying on write) every page of it
+                gc.freeze()
+                try:
+                    self._execute_pool(jobs, pool, ctx, emit)
+                finally:
+                    gc.unfreeze()
                 return
         self._execute_inprocess(jobs, emit)
 

@@ -9,6 +9,8 @@ ports rely on:
   ``ipow46`` jump-ahead -- kept as the reference oracle -- and
   :class:`RandlcStream`, which computes the same stream in exact ``uint64``
   arithmetic for EP's batches;
+* :func:`along_axis`, the one-axis linear operator (a matrix applied along
+  one axis of a field) the FT and LU ports are built from;
 * root-mean-square norms in the style of the BT/SP/LU ``error_norm`` and
   ``rhs_norm`` routines, written against :mod:`repro.ad.ops` so they are
   differentiable when handed traced arrays;
@@ -22,6 +24,7 @@ matters because EP's verification sums are defined by this exact stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -31,7 +34,7 @@ from repro.ad import ops
 
 __all__ = [
     "R23", "R46", "T23", "T46", "DEFAULT_SEED", "LCG_MULTIPLIER",
-    "randlc", "vranlc", "ipow46", "RandlcStream",
+    "randlc", "vranlc", "ipow46", "RandlcStream", "along_axis",
     "rms_norm", "weighted_abs_sum",
     "VerificationResult", "relative_error", "within_epsilon",
 ]
@@ -171,6 +174,39 @@ class RandlcStream:
         out = states.astype(np.float64)
         out *= R46
         return out, new_state
+
+
+# ---------------------------------------------------------------------------
+# axis operators
+# ---------------------------------------------------------------------------
+
+def along_axis(matrix: np.ndarray, field: Any, axis: int) -> Any:
+    """Apply ``matrix`` along logical axis ``axis`` of ``field``.
+
+    The result equals moving ``axis`` to the front, multiplying by
+    ``matrix`` and moving it back, without the transposed copies: the
+    field is viewed (C order, no copy) as ``(lead, n, trail)`` around the
+    axis and multiplied in place of its layout -- ``matrix @ X`` when
+    ``lead == 1``, ``X @ matrix.T`` when ``trail == 1`` and a broadcast
+    ``matrix @ X`` over ``lead`` otherwise.  Each output element is the
+    same length-``n`` dot product; whether BLAS sums it in the same order
+    as the transposing form depends on the GEMM shapes.  For FT's and LU's
+    shapes it does, and ``tests/npb/test_along_axis.py`` pins their
+    outputs, gradients and masks bitwise against the transposing form.
+    ``field`` may be traced, probe-batched or a tangent array.
+    """
+    shape = tuple(ops.logical_shape(field))
+    n = shape[axis]
+    lead = math.prod(shape[:axis])
+    trail = math.prod(shape[axis + 1:])
+    if lead == 1:
+        mixed = ops.matmul(matrix, ops.reshape(field, (n, trail)))
+    elif trail == 1:
+        mixed = ops.matmul(ops.reshape(field, (lead, n)), matrix.T)
+    else:
+        mixed = ops.matmul(matrix, ops.reshape(field, (lead, n, trail)))
+    return ops.reshape(mixed,
+                       shape[:axis] + (matrix.shape[0],) + shape[axis + 1:])
 
 
 # ---------------------------------------------------------------------------

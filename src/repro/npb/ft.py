@@ -26,7 +26,9 @@ only ``k = 0 .. 63`` is ever read, leaving exactly the ``64 x 64`` top layer
 Substitutions (documented in DESIGN.md): the random initial field uses a
 fixed-seed NumPy generator instead of ``vranlc``; the inverse transform is an
 explicit DFT-matrix product along each axis (mathematically identical to the
-original stockham FFT, and differentiable through :mod:`repro.ad.ops`); the
+original stockham FFT, and differentiable through :mod:`repro.ad.ops`),
+applied by :func:`~repro.npb.common.along_axis` to a reshaped view of the
+field, so no axis-transposed copy is made; the
 checksum sample points are a fixed pseudo-random *proper* subset instead of
 the original arithmetic progression, verified at construction so that no
 spectral coefficient has an exactly-zero structural weight in the checksum
@@ -45,7 +47,7 @@ from repro.ad import ops
 from repro.core.variables import CheckpointVariable, VariableKind
 
 from .base import NPBBenchmark, concrete_state
-from .common import VerificationResult
+from .common import VerificationResult, along_axis
 
 __all__ = ["FT"]
 
@@ -193,14 +195,7 @@ class FT(NPBBenchmark):
         sin_m = self._dft_sin[n]
 
         def mat_apply(mat: np.ndarray, field: Any) -> Any:
-            moved = ops.moveaxis(field, axis, 0)
-            # logical_shape strips the probe axis of a batched sweep, so the
-            # reshape targets below stay in logical coordinates
-            rest_shape = tuple(ops.logical_shape(moved)[1:])
-            rest = int(np.prod(rest_shape)) if rest_shape else 1
-            flat = ops.reshape(moved, (n, rest))
-            mixed = ops.matmul(mat, flat)
-            return ops.moveaxis(ops.reshape(mixed, (n,) + rest_shape), 0, axis)
+            return along_axis(mat, field, axis)
 
         if inverse:
             # W* / n  with  W = C - iS:  (C + iS)(a + ib) / n

@@ -215,6 +215,9 @@ class MG(NPBBenchmark):
     def _axis_map(self, matrix: np.ndarray, field: Any) -> Any:
         """Apply ``matrix`` along every axis of a cubic 3-D field."""
         out = field
+        # not common.along_axis: with these rectangular matrices (e.g.
+        # 18x33) OpenBLAS gives different last bits on axes 1-2, and at
+        # MG's sizes it saves only a few ms of a class-S run
         for axis in range(3):
             moved = ops.moveaxis(out, axis, 0)
             n_in = matrix.shape[1]

@@ -12,12 +12,14 @@ infinities and overflow included.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.ad import ops
+from repro.ad.dual import TangentArray
 from repro.ad.exec import _EMITTERS, _SPECIALIZED
 from repro.ad.ir import Instr
 from repro.ad.plan import PlanCache
@@ -75,12 +77,32 @@ def _batched_multi_array(rng):
     return (3,) + shape, (slice(None),) + idx
 
 
+def _broadcast_multi_array(rng):
+    # negative indices in index arrays that broadcast against each other
+    shape = tuple(int(s) for s in rng.integers(1, 5, size=int(
+        rng.integers(2, 4))))
+    out = tuple(int(s) for s in rng.integers(0, 4, size=int(
+        rng.integers(1, 3))))
+    return shape, tuple(
+        rng.integers(-n, n, size=tuple(d if rng.random() < 0.6 else 1
+                                       for d in out)) for n in shape)
+
+
+def _batched_broadcast_multi_array(rng):
+    shape, idx = _broadcast_multi_array(rng)
+    lead = tuple(int(s) for s in rng.integers(1, 4, size=int(
+        rng.integers(1, 3))))
+    return lead + shape, (slice(None),) * len(lead) + idx
+
+
 CASES = {
     "unbatched-1d": _unbatched_1d,
     "unbatched-ell": _unbatched_ell,
     "batched-slice-idx": _batched_ell,
     "multi-array": _multi_array,
     "batched-multi-array": _batched_multi_array,
+    "broadcast-multi-array": _broadcast_multi_array,
+    "batched-broadcast-multi-array": _batched_broadcast_multi_array,
 }
 
 
@@ -111,6 +133,19 @@ def test_bincount_scatter_is_add_at_bitwise(case, special):
             nan = np.isnan(ref)
             np.testing.assert_array_equal(np.isnan(got), nan)
             got, ref = got[~nan], ref[~nan]
+        assert got.tobytes() == ref.tobytes(), f"{case} trial {trial}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scatter_positions_are_the_arange_gather(case):
+    """Positions from index coordinates equal a gather from an ``arange``."""
+    rng = np.random.default_rng(100 + sorted(CASES).index(case))
+    for trial in range(TRIALS):
+        shape, idx = CASES[case](rng)
+        ref = ops._gather(np.arange(math.prod(shape), dtype=np.intp)
+                          .reshape(shape), idx, True)
+        got = ops._scatter_positions(shape, idx)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes(), f"{case} trial {trial}"
 
 
@@ -155,19 +190,70 @@ def test_getitem_and_take_cotangents_match_add_at():
             assert got.tobytes() == ref.tobytes()
 
 
-def test_emitted_advanced_getitem_matches_add_at():
-    rng = np.random.default_rng(9)
-    idx = (slice(None), rng.integers(0, 7, size=(7, 4)))
-    spec = ("getitem", idx, True, True, (3, 7))
-    node = Instr(1, "getitem", (0,), spec, (3, 7, 4), "float64")
+@pytest.mark.parametrize("shape,indices,axis", [
+    ((3,), [0], -1),                       # a 2-probe (2, 3) leaf
+    ((3, 4), np.array([2, -1, 2]), -1),
+    ((3, 4), np.array([[0, 2], [1, 1]]), -2),
+    ((3, 4, 2), np.array([1, 0]), -3),
+])
+def test_take_with_negative_axis_batched_and_tangent(shape, indices, axis):
+    rng = np.random.default_rng(len(shape))
+    xs = rng.standard_normal((2,) + shape)
+    weights = rng.standard_normal(np.take(xs[0], indices, axis=axis).shape)
+
+    def loss(x):
+        return ops.sum(ops.square(ops.take(x, indices, axis=axis)) * weights)
+
+    per_probe = []
+    for p in range(2):
+        with Tape() as tape:
+            x = tape.watch(xs[p], name="x")
+            out = loss(x)
+        per_probe.append((ops.value_of(out), backward(tape, out, [x])[0]))
+    with Tape() as tape, probe_axis(2):
+        x = tape.watch(xs, name="x")
+        out = loss(x)
+    (gx,) = backward(tape, out, [x])
+    for p, (value, grad) in enumerate(per_probe):
+        assert np.asarray(ops.value_of(out)[p]).tobytes() \
+            == np.asarray(value).tobytes()
+        assert gx[p].tobytes() == grad.tobytes()
+
+    tangent = rng.standard_normal((3,) + shape)
+    taken = ops.take(TangentArray(xs[0], tangent), indices, axis=axis)
+    assert taken.value.tobytes() \
+        == np.take(xs[0], indices, axis=axis).tobytes()
+    for d in range(3):
+        assert taken.tangent[d].tobytes() \
+            == np.take(tangent[d], indices, axis=axis).tobytes()
+
+
+def _check_emitted_getitem(rng, in_shape, idx):
+    av = rng.standard_normal(in_shape)
+    ref_out = np.ascontiguousarray(av[idx])
+    spec = ("getitem", idx, True, True, in_shape)
+    node = Instr(1, "getitem", (0,), spec, ref_out.shape, "float64")
     assert _SPECIALIZED["getitem"](spec, node, None) is None
-    av = rng.standard_normal((3, 7))
     out, vjp = _EMITTERS["getitem"](spec, node)([av])
     assert out.flags.c_contiguous
-    assert out.tobytes() == np.ascontiguousarray(av[idx]).tobytes()
+    assert out.tobytes() == ref_out.tobytes()
     g = _hostile(rng, out.shape)
     (grad,) = vjp(g)
-    assert grad.tobytes() == _add_at((3, 7), idx, g).tobytes()
+    assert grad.tobytes() == _add_at(in_shape, idx, g).tobytes()
+
+
+def test_emitted_advanced_getitem_matches_add_at():
+    rng = np.random.default_rng(9)
+    _check_emitted_getitem(rng, (3, 7),
+                           (slice(None), rng.integers(0, 7, size=(7, 4))))
+
+
+def test_emitted_multi_array_getitem_matches_add_at():
+    # FT's batched sample gather, negative indices included
+    rng = np.random.default_rng(10)
+    _check_emitted_getitem(rng, (3, 5, 7),
+                           (slice(None), rng.integers(-5, 5, size=(9,)),
+                            rng.integers(-7, 7, size=(9,))))
 
 
 # ---------------------------------------------------------------------------

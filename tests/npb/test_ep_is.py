@@ -8,9 +8,12 @@ import struct
 import numpy as np
 import pytest
 
+import repro.npb.ep as ep_module
 from repro.core.analysis import scrutinize
+from repro.npb.base import concrete_state
 from repro.npb.ep import EP
 from repro.npb.is_ import IS
+from repro.npb.params import CLASSES, params_for
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,50 @@ class TestEPExactStream:
             digest.update(struct.pack("<dd", sx, sy))
             digest.update(np.ascontiguousarray(counts, dtype="<f8").tobytes())
         assert digest.hexdigest() == BATCH_SUM_DIGESTS[problem_class]
+
+
+class TestEPBatchCache:
+    """One module-level cache serves every EP instance's batches."""
+
+    def test_second_instance_recomputes_nothing(self):
+        ep_module._batch_sums.cache_clear()
+        first = EP(problem_class="T")
+        first.verify(first.run_full())
+        assert ep_module._batch_sums.cache_info().misses \
+            == first.params.n_batches
+        second = EP(problem_class="T")
+        second.verify(second.run(second.checkpoint_state(5),
+                                 second.total_steps - 5))
+        info = ep_module._batch_sums.cache_info()
+        assert info.misses == first.params.n_batches
+        assert info.hits > 0
+
+    def test_bound_holds_every_registered_class(self):
+        total = sum(params_for("EP", c).n_batches for c in CLASSES)
+        assert ep_module._batch_sums.cache_info().maxsize >= total
+
+    def test_cached_counts_are_read_only(self, ep):
+        _, _, counts = ep._batch_sums(0)
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 1.0
+
+    @pytest.mark.parametrize("problem_class,splits", [
+        ("T", None), ("S", (0, 1, 128, 255, 256))])
+    def test_restart_matches_an_uncached_run(self, monkeypatch,
+                                             problem_class, splits):
+        bench = EP(problem_class=problem_class)
+        monkeypatch.setattr(ep_module, "_batch_sums",
+                            ep_module._batch_sums.__wrapped__)
+        uncached = concrete_state(bench.run_full())
+        monkeypatch.undo()
+        steps = bench.total_steps
+        for k in splits or range(steps + 1):
+            final = concrete_state(bench.run(bench.checkpoint_state(k),
+                                             steps - k))
+            for key, value in uncached.items():
+                assert np.asarray(final[key]).tobytes() \
+                    == np.asarray(value).tobytes(), f"k={k} {key}"
 
 
 class TestEPDynamics:
