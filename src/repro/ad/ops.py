@@ -28,6 +28,7 @@ import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .dual import TangentArray
 from .plan import _CAPTURE
@@ -1410,36 +1411,10 @@ def _gather(av: np.ndarray, idx: Any, contig: bool) -> np.ndarray:
 
 
 def _scatter_positions(shape: tuple, idx: Any) -> np.ndarray:
-    """Flat positions of ``zeros(shape)[idx]``, in the gather's shape.
-
-    Integer arrays addressing every remaining axis behind leading full
-    slices (FT's ``[ki, kj, kk]`` sample gather, batched or not) are one
-    ``np.ravel_multi_index`` over the gathered coordinates: O(gathered)
-    where gathering from a full-size ``arange`` is O(size).  A single
-    index array keeps the ``arange`` path, which ``_gather`` runs as one
-    ``np.take``.
-    """
+    """Flat positions of ``zeros(shape)[idx]``, in the gather's shape."""
     if len(shape) == 1 and isinstance(idx, np.ndarray) \
             and idx.dtype == np.intp and np.all(idx >= 0):
         return idx      # a 1-D gather's positions are its own indices
-    if isinstance(idx, tuple):
-        lead = 0
-        while lead < len(idx) and isinstance(idx[lead], slice) \
-                and idx[lead] == slice(None):
-            lead += 1
-        arrays = idx[lead:]
-        if len(arrays) > 1 and lead + len(arrays) == len(shape) \
-                and builtins.all(isinstance(a, np.ndarray)
-                                 and a.dtype.kind in "iu" for a in arrays):
-            inner = shape[lead:]
-            coords = []
-            for a, n in zip(arrays, inner):
-                a = a.astype(np.intp, copy=False)
-                coords.append(np.where(a < 0, a + n, a))
-            pos = np.ravel_multi_index(coords, inner)
-            outer = np.arange(math.prod(shape[:lead]), dtype=np.intp)
-            outer = outer.reshape(shape[:lead] + (1,) * pos.ndim)
-            return outer * math.prod(inner) + pos
     return _gather(np.arange(math.prod(shape), dtype=np.intp).reshape(shape),
                    idx, True)
 
@@ -1515,7 +1490,7 @@ def take(a: Any, indices: Any, axis=None) -> Any:
             dt = np.take(ta.reshape(nd, -1), idx, axis=1)
             dt = dt.reshape((nd,) + np.shape(out))
         else:
-            ax1 = _probe_shift_axis(axis % av.ndim, nd)
+            ax1 = _probe_shift_axis(normalize_axis_index(axis, av.ndim), nd)
             dt = _gather(ta, (slice(None),) * ax1 + (np.asarray(idx),), True)
         return TangentArray(out, dt)
     av = value_of(a)
@@ -1530,8 +1505,8 @@ def take(a: Any, indices: Any, axis=None) -> Any:
     elif nb is not None:
         # a single advanced index at `axis` is exactly np.take(..., axis)
         src_shape = av.shape
-        take_idx = (slice(None),) * _probe_shift_axis(axis % (av.ndim - 1),
-                                                      nb) + (idx,)
+        logical = normalize_axis_index(axis, av.ndim - 1)
+        take_idx = (slice(None),) * _probe_shift_axis(logical, nb) + (idx,)
         out = _gather(av, take_idx, True)
     else:
         src_shape = (-1,) if axis is None else av.shape

@@ -12,10 +12,10 @@ deterministically:
 * :func:`run_job` -- the module-level (hence spawn-safe) worker function;
 * :class:`ParallelRunner` -- schedules jobs over an optional
   :class:`~repro.core.store.ResultStore` (cache first, pool second),
-  deduplicates identical jobs, preserves input order in the output, and
-  falls back to in-process execution when ``workers == 1``, when only one
-  job is left after cache hits, or when the platform cannot deliver a
-  working pool.
+  deduplicates identical jobs, submits the heaviest first, preserves
+  input order in the output, and falls back to in-process execution when
+  ``workers == 1``, when only one job is left after cache hits, or when
+  the platform cannot deliver a working pool.
 
 Fault tolerance (:mod:`repro.experiments.faults`): each job attempt is
 guarded by a wall-clock watchdog (``FaultPolicy.timeout``) and bounded
@@ -221,11 +221,17 @@ def blas_threads() -> int | None:
 
 
 def _init_worker(blas_budget: int) -> None:
-    """Pool-worker initializer: cap the inherited BLAS thread pool.
+    """Pool-worker initializer: freeze the inherited objects, cap BLAS.
 
-    A forked worker inherits a BLAS pool sized for the whole machine, so
-    ``n`` workers would otherwise run ``n * cpus`` spinning BLAS threads.
+    A forked worker inherits every object of its parent.  Unfrozen, each
+    full collection in the worker walks them all and writes to every page
+    they sit on, one copy-on-write fault per page of the parent's heap.
+    Freezing happens in the worker alone; the parent is untouched.
+
+    A forked worker also inherits a BLAS pool sized for the whole machine,
+    so ``n`` workers would otherwise run ``n * cpus`` spinning BLAS threads.
     """
+    gc.freeze()
     blas = _loaded_openblas()
     if blas is not None:
         blas[0](blas_budget)
@@ -241,6 +247,22 @@ def _pick_context() -> multiprocessing.context.BaseContext:
     if sys.platform.startswith("linux"):
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
+
+
+def _footprint(job: ScrutinyJob) -> int:
+    """Scheduling weight of ``job``: its checkpoint elements times probes.
+
+    The pool submits the heaviest jobs first (and keeps input order among
+    equals).  A forked worker pays a page fault for every page it first
+    writes, while jobs it runs later reuse the heap the first one grew; a
+    large job left to the end also runs on alone.  Unknown benchmarks
+    weigh nothing and fail inside their worker, as before.
+    """
+    try:
+        return registry.state_elements(job.benchmark,
+                                       job.problem_class) * job.n_probes
+    except (KeyError, ValueError):
+        return 0
 
 
 def _failure_result(job: ScrutinyJob, failure: JobFailure) -> ScrutinyResult:
@@ -340,8 +362,12 @@ class ParallelRunner:
             if cached is not None:
                 results[job] = cached
                 self.stats.cache_hits += 1
-                if self.journal is not None and self.journal.is_done(token):
-                    self.stats.journal_skips += 1
+                if self.journal is not None:
+                    if self.journal.is_done(token):
+                        self.stats.journal_skips += 1
+                    else:
+                        # stored, but the batch died before journalling it
+                        self.journal.mark_done(token, job.benchmark)
                 continue
             if self.on_failure == "record" and self.journal is not None:
                 known = self.journal.failure_for(token)
@@ -438,15 +464,7 @@ class ParallelRunner:
                 # degrade to the in-process path, which is always available
                 pool = None
             if pool is not None:
-                # workers fork lazily, on the first submit and on respawns:
-                # with this process's objects frozen, a forked worker's
-                # collections skip the inherited heap instead of walking
-                # (and copying on write) every page of it
-                gc.freeze()
-                try:
-                    self._execute_pool(jobs, pool, ctx, emit)
-                finally:
-                    gc.unfreeze()
+                self._execute_pool(jobs, pool, ctx, emit)
                 return
         self._execute_inprocess(jobs, emit)
 
@@ -573,7 +591,7 @@ class ParallelRunner:
                 started.pop(job, None)
 
         try:
-            for job in jobs:
+            for job in sorted(jobs, key=_footprint, reverse=True):
                 submit(job)
             while unfinished:
                 now = time.monotonic()

@@ -8,6 +8,8 @@ suite without importing every kernel module by hand.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Type
 
@@ -21,6 +23,7 @@ from .ft import FT
 from .is_ import IS
 from .lu import LU
 from .mg import MG
+from .params import params_for
 from .sp import SP
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "available_benchmarks",
     "create",
     "iter_benchmarks",
+    "state_elements",
     "table1_rows",
 ]
 
@@ -75,6 +79,24 @@ def create(name: str, problem_class: str = "S") -> NPBBenchmark:
         raise KeyError(f"unknown benchmark {name!r}; "
                        f"known: {', '.join(BENCHMARKS)}")
     return BENCHMARKS[key](problem_class=problem_class)
+
+
+@functools.lru_cache(maxsize=None)
+def state_elements(name: str, problem_class: str = "S") -> int:
+    """Elements in the checkpoint state of ``name`` at ``problem_class``.
+
+    Every port derives its Table I inventory from its parameters alone, so
+    this reads it off a port that skips its constructor's set-up (FT's
+    alone builds DFT matrices and an initial spectrum).  Raises like
+    :func:`create` for unknown names and classes.
+    """
+    port = BENCHMARKS.get(name.upper())
+    if port is None:
+        raise KeyError(f"unknown benchmark {name!r}; "
+                       f"known: {', '.join(BENCHMARKS)}")
+    bare = port.__new__(port)
+    NPBBenchmark.__init__(bare, params_for(port.name, problem_class))
+    return sum(math.prod(v.shape) for v in bare.checkpoint_variables())
 
 
 def iter_benchmarks(problem_class: str = "S",

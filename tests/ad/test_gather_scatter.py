@@ -138,7 +138,7 @@ def test_bincount_scatter_is_add_at_bitwise(case, special):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scatter_positions_are_the_arange_gather(case):
-    """Positions from index coordinates equal a gather from an ``arange``."""
+    """Positions, the 1-D fast path included, index a flat ``arange``."""
     rng = np.random.default_rng(100 + sorted(CASES).index(case))
     for trial in range(TRIALS):
         shape, idx = CASES[case](rng)
@@ -226,6 +226,20 @@ def test_take_with_negative_axis_batched_and_tangent(shape, indices, axis):
     for d in range(3):
         assert taken.tangent[d].tobytes() \
             == np.take(tangent[d], indices, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("axis", [1, 3, -2])
+def test_take_rejects_an_out_of_range_axis_like_numpy(axis):
+    # logical rank 1: the probe axis must not make axis 1 (or -2) valid
+    xs = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(np.exceptions.AxisError):
+        np.take(xs[0], [0], axis=axis)
+    with Tape() as tape, probe_axis(2):
+        x = tape.watch(xs, name="x")
+        with pytest.raises(np.exceptions.AxisError):
+            ops.take(x, [0], axis=axis)
+    with pytest.raises(np.exceptions.AxisError):
+        ops.take(TangentArray(xs[0], xs), [0], axis=axis)
 
 
 def _check_emitted_getitem(rng, in_shape, idx):

@@ -328,6 +328,18 @@ class TestJournalIntegration:
         assert engine.stats.journal_skips == len(self.JOBS)
         assert all(result.ok for result in results)
 
+    def test_stored_but_unjournalled_jobs_are_journalled_on_resume(
+            self, tmp_path):
+        # a batch killed between a job's store write and its journal line
+        ParallelRunner(workers=1, store=ResultStore(tmp_path / "cache")
+                       ).run(self.JOBS)
+        engine = self._engine(tmp_path)
+        engine.run(self.JOBS)
+        assert engine.stats.cache_hits == len(self.JOBS)
+        journal = BatchJournal(tmp_path / "cache" / "journal.jsonl")
+        for job in self.JOBS:
+            assert journal.is_done(job_token(job))
+
     def test_poisoned_jobs_are_journalled_and_skipped_on_resume(
             self, tmp_path):
         bad = ScrutinyJob("NOPE", "T")

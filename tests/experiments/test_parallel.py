@@ -8,6 +8,8 @@ worker count.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,25 @@ class TestParallelEqualsSequential:
         engine = ParallelRunner(workers=2)
         results = engine.run([ScrutinyJob(n, "T") for n in names])
         assert [r.benchmark for r in results] == names
+
+    def test_pool_submits_the_heaviest_jobs_first(self, monkeypatch):
+        submitted = []
+        real_submit = parallel.ProcessPoolExecutor.submit
+
+        def spy(pool, fn, job, *args):
+            submitted.append((job.benchmark, job.n_probes))
+            return real_submit(pool, fn, job, *args)
+
+        monkeypatch.setattr(parallel.ProcessPoolExecutor, "submit", spy)
+        jobs = [ScrutinyJob("CG", "T"), ScrutinyJob("NOPE", "T"),
+                ScrutinyJob("FT", "T"), ScrutinyJob("EP", "T"),
+                ScrutinyJob("FT", "T", n_probes=3), ScrutinyJob("BT", "T")]
+        results = ParallelRunner(workers=2, on_failure="record").run(jobs)
+        assert [r.benchmark for r in results] == [j.benchmark for j in jobs]
+        # FT-T x3 (1740) > BT-T (1471) > FT-T (580) > CG-T (63) > EP-T
+        # (13) > an unknown benchmark, which weighs nothing (and is retried)
+        assert submitted[:len(jobs)] == [("FT", 3), ("BT", 1), ("FT", 1),
+                                         ("CG", 1), ("EP", 1), ("NOPE", 1)]
 
     def test_duplicate_jobs_share_one_result(self):
         engine = ParallelRunner(workers=1)
@@ -148,6 +169,16 @@ class TestCpuBudget:
         finally:
             pool.shutdown()
         assert counts == {2 // workers}
+
+    def test_pool_workers_freeze_what_they_inherit(self):
+        engine = ParallelRunner(workers=2)
+        pool = engine._new_pool(parallel._pick_context(), n_jobs=2)
+        try:
+            frozen = pool.submit(gc.get_freeze_count).result(timeout=60)
+        finally:
+            pool.shutdown()
+        assert frozen > 0
+        assert gc.get_freeze_count() == 0     # the parent is untouched
 
 
 class TestRunnerFanOut:

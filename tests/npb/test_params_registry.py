@@ -115,3 +115,22 @@ class TestRegistry:
                 assert key in state
                 if not var.is_scalar:
                     assert np.asarray(state[key]).shape == var.shape
+
+    @pytest.mark.parametrize("problem_class", ["T", "S", "A"])
+    def test_state_elements_match_the_built_port(self, problem_class):
+        for name in registry.available_benchmarks():
+            try:
+                bench = registry.create(name, problem_class)
+            except KeyError:
+                continue
+            assert registry.state_elements(name.lower(), problem_class) \
+                == sum(int(np.prod(v.shape))
+                       for v in bench.checkpoint_variables())
+
+    def test_state_elements_rejects_what_create_rejects(self):
+        with pytest.raises(KeyError, match="BT"):
+            registry.state_elements("nope")
+        with pytest.raises(KeyError):
+            registry.state_elements("BT", "A")
+        with pytest.raises(ValueError):
+            registry.state_elements("BT", "Z")
